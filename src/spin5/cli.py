@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -148,6 +149,8 @@ def _parse_rotation(raw: str) -> np.ndarray:
         a = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise InputError(f"--rotate component is not a number: {raw!r}") from exc
+    if not np.isfinite(a).all():
+        raise InputError(f"--rotate components must be finite: {raw!r}")
     return a
 
 
@@ -220,6 +223,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     report = run_checks(eps=args.eps, seed=args.seed, samples=args.samples)
     if args.json:
         sys.stdout.write(jsonio.dumps(report.to_json_dict()))
@@ -283,6 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a word such as "-0.6,0.8,0,0" for an option, which would
+    # leave --rotate without its value; pass it as "--rotate=-0.6,0.8,0,0".
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--rotate" and re.match(r"-\.?\d", argv[k]):
+            argv[k - 1:k + 1] = [f"--rotate={argv[k]}"]
     args = parser.parse_args(argv)
     try:
         if args.eps is None:

@@ -72,10 +72,10 @@ def standard_vector(i: int) -> np.ndarray:
 
 
 def vector_matrix(x: np.ndarray) -> np.ndarray:
-    """Matrix of Clifford multiplication by the vector x."""
+    """Matrix of Clifford multiplication by x; a (k, 5) stack gives (k, 4, 4)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (DIM_V,):
-        raise InputError(f"vector must have shape (5,), got {x.shape}")
+    if x.ndim == 0 or x.shape[-1] != DIM_V:
+        raise InputError(f"vector must have shape (..., 5), got {x.shape}")
     return np.tensordot(x, np.stack(_GAMMA), axes=1)
 
 
@@ -103,9 +103,13 @@ def volume_action() -> np.ndarray:
 
 
 def spinor_to_real(phi: np.ndarray) -> np.ndarray:
-    """Real coordinates of a spinor: (Re phi, Im phi) in R^8."""
+    """Real coordinates (Re phi, Im phi) in R^8, along the last axis.
+
+    A (k, 4) stack gives (k, 8), so spinor_to_real(M @ phi).T is the real
+    8xk matrix whose columns are the images M_j phi of a (k, 4, 4) stack M.
+    """
     phi = np.asarray(phi, dtype=complex)
-    return np.concatenate([phi.real, phi.imag])
+    return np.concatenate([phi.real, phi.imag], axis=-1)
 
 
 def real_to_spinor(r: np.ndarray) -> np.ndarray:
@@ -150,10 +154,10 @@ def two_form_gamma_products() -> np.ndarray:
 
 
 def two_form_matrix_rep(w: np.ndarray) -> np.ndarray:
-    """4x4 matrix of the Clifford action of a two-form."""
+    """4x4 matrix of the action of a two-form; (k, 10) stacks give (k, 4, 4)."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (DIM_TWO_FORMS,):
-        raise InputError(f"two-form must have shape (10,), got {w.shape}")
+    if w.ndim == 0 or w.shape[-1] != DIM_TWO_FORMS:
+        raise InputError(f"two-form must have shape (..., 10), got {w.shape}")
     return np.tensordot(w, two_form_gamma_products(), axes=1)
 
 

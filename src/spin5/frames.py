@@ -25,9 +25,7 @@ def rep_matrix(phi: np.ndarray) -> np.ndarray:
 
     Its column space is W_phi; rank 5 for every unit spinor.
     """
-    phi = np.asarray(phi, dtype=complex)
-    cols = [cl.spinor_to_real(cl.gamma(j) @ phi) for j in range(1, 6)]
-    return np.array(cols).T
+    return cl.spinor_to_real(cl.vector_matrix(np.eye(5)) @ np.asarray(phi)).T
 
 
 def reeb_vector(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
@@ -80,12 +78,12 @@ def build_frame(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> SpinorFrame:
     y = reeb_vector(phi, eps)
     d_basis = distribution_basis(y, eps)
 
-    images = np.array([cl.vector_action(b, phi) for b in d_basis])
+    images = cl.vector_matrix(d_basis) @ phi
     if nx.numerical_rank(images, eps) != 2:
         raise NumericalRankFailure("D . phi is not a complex 2-plane")
     v_basis = nx.canonical_complex_basis(images, 2, eps)
 
-    w_basis = np.array([cl.vector_action(e, phi) for e in np.eye(5)])
+    w_basis = cl.vector_matrix(np.eye(5)) @ phi
 
     # phi_tilde spans the hermitian-orthogonal complement of phi inside the
     # +i eigenspace of the Reeb action.

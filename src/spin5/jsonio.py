@@ -19,6 +19,7 @@ to a uniform exit code.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -68,6 +69,8 @@ def _require(condition: bool, field: str, expected: str) -> None:
 def _as_float(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"field '{field}': expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:   # NaN, infinities, huge integers
+        raise InputError(f"field '{field}': expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -47,11 +47,16 @@ def numerical_rank(m: np.ndarray, eps: float = EPS_DEFAULT) -> int:
 
 
 def solve_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares solve a @ x = b; returns (x, residual norm)."""
+    """Least-squares solve a @ x = b; returns (x, residual norm).
+
+    b may be a vector or a 2-d array whose columns are separate right-hand
+    sides; then x has one solution column per column of b and the residual
+    is the largest column residual norm.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    res = float(np.linalg.norm(a @ x - b))
+    res = float(np.linalg.norm(a @ x - b, axis=0).max())
     return x, res
 
 

@@ -100,14 +100,10 @@ def act_on_space(g: SpinElement, space: AdmissibleSpace,
 def stabilizer_algebra(space: AdmissibleSpace,
                        eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     """Orthonormal basis (rows) of the two-forms whose action preserves V."""
-    p = nx.projector(space.v_basis)
-    complement = np.eye(4, dtype=complex) - p
-    products = cl.two_form_gamma_products()
-    rows = []
-    for m in products:
-        leak = [complement @ (m @ v) for v in space.v_basis]
-        rows.append(np.concatenate([cl.spinor_to_real(l) for l in leak]))
-    return nx.kernel_basis(np.array(rows).T, eps)
+    complement = np.eye(4, dtype=complex) - nx.projector(space.v_basis)
+    images = np.swapaxes(cl.two_form_gamma_products() @ space.v_basis.T, 1, 2)
+    leak = (complement @ images[..., None])[..., 0]   # e_I . v_k off V
+    return nx.kernel_basis(cl.spinor_to_real(leak).reshape(10, 16).T, eps)
 
 
 def stabilizer_dimension(space: AdmissibleSpace,

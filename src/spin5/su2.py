@@ -26,9 +26,7 @@ def annihilator(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     The result is the kernel of the 8x10 real matrix of the two-form
     action evaluated at phi; for any nonzero spinor it is 3-dimensional.
     """
-    phi = np.asarray(phi, dtype=complex)
-    products = cl.two_form_gamma_products()
-    m = np.array([cl.spinor_to_real(p @ phi) for p in products]).T
+    m = cl.spinor_to_real(cl.two_form_gamma_products() @ np.asarray(phi)).T
     basis = nx.kernel_basis(m, eps)
     if basis.shape[0] != 3:
         raise KernelDimensionError(
@@ -68,15 +66,14 @@ def is_admissible(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
     comp = nx.kernel_basis(basis.conj(), eps)
 
     tol = np.sqrt(eps)
+    targets = cl.spinor_to_real(basis).T
     max_span = 0.0
     for _ in range(samples):
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi = comp.T @ c
         psi = psi / np.linalg.norm(psi)
-        r = rep_matrix(psi)
-        for v in basis:
-            _, res = nx.solve_columns(r, cl.spinor_to_real(v))
-            max_span = max(max_span, res)
+        _, res = nx.solve_columns(rep_matrix(psi), targets)
+        max_span = max(max_span, res)
     spanning = max_span <= tol
 
     conj_op = qt.charge_conjugation(eps)
@@ -152,9 +149,8 @@ def so5_splitting(space: AdmissibleSpace, eps: float = nx.EPS_DEFAULT) -> So5Spl
 def dual_action_span(space: AdmissibleSpace, phi: np.ndarray,
                      eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     """Images of the su(2)+ basis acting on a spinor, as rows."""
-    splitting = so5_splitting(space, eps)
-    phi = np.asarray(phi, dtype=complex)
-    return np.array([cl.form_action(w, phi) for w in splitting.su2_plus])
+    plus = so5_splitting(space, eps).su2_plus
+    return cl.two_form_matrix_rep(plus) @ np.asarray(phi, dtype=complex)
 
 
 def two_form_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ from . import clifford as cl
 from . import numerics as nx
 from .errors import (BasisDegeneracy, DerivationFailure, InputError,
                      NonOrthogonalDerivative, NonUnitQuaternion, NonUnitSpinor)
-from .quaternionic import StructureTriple, adapted_triple, triple_on_distribution
+from .quaternionic import (StructureTriple, _complement_spinor, adapted_triple,
+                           triple_on_distribution)
 from .su2 import AdmissibleSpace, so5_splitting
 
 
@@ -65,9 +66,9 @@ def random_nabla(space: AdmissibleSpace, rng: np.random.Generator,
 def _tangent_basis(phi: np.ndarray, space: AdmissibleSpace,
                    triple: StructureTriple) -> np.ndarray:
     """8x7 real matrix of the tangent frame {b_p . phi} + {j_k phi}."""
-    cols = [cl.spinor_to_real(cl.vector_action(b, phi)) for b in space.d_basis]
-    cols += [cl.spinor_to_real(op(phi)) for op in triple.ops()]
-    basis = np.array(cols).T
+    images = np.vstack([cl.vector_matrix(space.d_basis) @ phi,
+                        [op(phi) for op in triple.ops()]])
+    basis = cl.spinor_to_real(images).T
     smin = np.linalg.svd(basis, compute_uv=False)[-1]
     if smin < 0.5:
         raise BasisDegeneracy(f"tangent frame nearly singular, sigma_min {smin:.3e}")
@@ -123,25 +124,43 @@ def split_endomorphism(s_d: np.ndarray, js: np.ndarray,
     return lambda0, lambdas, s0, sigma
 
 
+def _require_solved(residual: float, target: np.ndarray, eps: float,
+                    what: str) -> None:
+    """Raise DerivationFailure unless a solve reproduced its target."""
+    if residual > np.sqrt(eps) * max(1.0, float(np.abs(target).max())):
+        raise DerivationFailure(f"{what} residual {residual:.3e}")
+
+
+def _solve_forms(basis: np.ndarray, phi: np.ndarray, targets: np.ndarray,
+                 eps: float, what: str) -> tuple[np.ndarray, float]:
+    """Coefficients c with (c[:, i] @ basis) . phi = targets[i] for each i."""
+    a = cl.spinor_to_real(cl.two_form_matrix_rep(basis) @ phi).T
+    c, worst = nx.solve_columns(a, cl.spinor_to_real(targets).T)
+    _require_solved(worst, targets, eps, what)
+    return c, worst
+
+
+def _raw_split(nabla: NablaDatum, space: AdmissibleSpace, eps: float
+               ) -> tuple[np.ndarray, StructureTriple, np.ndarray, float]:
+    """Validate a datum, then solve nabla_i phi = S(e_i).phi + beta(e_i).j(phi).
+
+    Returns phi, the adapted triple, the 7x5 coefficients (rows 0-3 give S
+    in D-coordinates, rows 4-6 give beta) and the worst column residual.
+    """
+    validate_nabla(nabla, eps)
+    phi = _complement_spinor(nabla.phi, space, eps)
+    triple = adapted_triple(space, eps)
+    derivs = np.asarray(nabla.derivatives, dtype=complex)
+    coeffs, residual = nx.solve_columns(_tangent_basis(phi, space, triple),
+                                        cl.spinor_to_real(derivs).T)
+    _require_solved(residual, derivs, eps, "derivative split")
+    return phi, triple, coeffs, residual
+
+
 def decompose(nabla: NablaDatum, space: AdmissibleSpace,
               eps: float = nx.EPS_DEFAULT) -> TorsionDecomposition:
     """Split a derivative datum into its tangential and rotational parts."""
-    validate_nabla(nabla, eps)
-    phi = np.asarray(nabla.phi, dtype=complex)
-    if nx.distance_to_row_span(phi, space.vperp_basis, eps) > np.sqrt(eps):
-        raise InputError("base spinor must lie in the plane's complement")
-
-    triple = adapted_triple(space, eps)
-    basis = _tangent_basis(phi, space, triple)
-    coeffs = np.empty((7, 5))
-    residual = 0.0
-    for i, d in enumerate(np.asarray(nabla.derivatives, dtype=complex)):
-        c, res = nx.solve_columns(basis, cl.spinor_to_real(d))
-        coeffs[:, i] = c
-        residual = max(residual, res)
-    if residual > np.sqrt(eps) * max(1.0, float(np.abs(nabla.derivatives).max())):
-        raise DerivationFailure(f"derivative split residual {residual:.3e}")
-
+    phi, _, coeffs, residual = _raw_split(nabla, space, eps)
     s_matrix = coeffs[:4]
     beta = coeffs[4:]
     z = s_matrix @ space.y
@@ -160,16 +179,9 @@ def decompose(nabla: NablaDatum, space: AdmissibleSpace,
 def reconstruct(dec: TorsionDecomposition, space: AdmissibleSpace,
                 eps: float = nx.EPS_DEFAULT) -> NablaDatum:
     """Rebuild the derivative datum from s_matrix and beta."""
-    triple = adapted_triple(space, eps)
-    jphis = [op(dec.phi) for op in triple.ops()]
-    derivs = []
-    for i in range(5):
-        x = space.d_basis.T @ dec.s_matrix[:, i]
-        d = cl.vector_action(x, dec.phi)
-        for k in range(3):
-            d = d + dec.beta[k, i] * jphis[k]
-        derivs.append(d)
-    return NablaDatum(phi=dec.phi, derivatives=np.array(derivs))
+    jphis = np.array([op(dec.phi) for op in adapted_triple(space, eps).ops()])
+    tangent = cl.vector_matrix(dec.s_matrix.T @ space.d_basis) @ dec.phi
+    return NablaDatum(phi=dec.phi, derivatives=tangent + dec.beta.T @ jphis)
 
 
 @dataclass(frozen=True)
@@ -182,35 +194,18 @@ class OmegaDecomposition:
     residual: float
 
 
-def _solve_su2_plus(targets: np.ndarray, phi: np.ndarray, basis: np.ndarray,
-                    eps: float) -> tuple[np.ndarray, float]:
-    """Solve w . phi = target inside the span of the given su(2)+ basis."""
-    a = np.array([cl.spinor_to_real(cl.form_action(w, phi)) for w in basis]).T
-    out = np.empty((len(targets), 10))
-    worst = 0.0
-    for i, t in enumerate(targets):
-        c, res = nx.solve_columns(a, cl.spinor_to_real(t))
-        worst = max(worst, res)
-        out[i] = basis.T @ c
-    if worst > np.sqrt(eps) * max(1.0, float(np.abs(targets).max())):
-        raise DerivationFailure(f"rotation form residual {worst:.3e}")
-    return out, worst
-
-
 def omega_decompose(nabla: NablaDatum, space: AdmissibleSpace,
                     eps: float = nx.EPS_DEFAULT) -> OmegaDecomposition:
     """Forms w_X in su(2)+ with w_X . phi = sum_k beta_k(X) j_k(phi)."""
-    dec = decompose(nabla, space, eps)
-    triple = adapted_triple(space, eps)
-    jphis = np.array([op(dec.phi) for op in triple.ops()])
-    basis = so5_splitting(space, eps).su2_plus
-
-    targets = [dec.beta[:, i] @ jphis for i in range(5)]
-    targets.append(dec.f @ jphis)
-    beta_tangent = dec.beta_d @ space.d_basis   # beta of the projected e_i
-    targets.extend(beta_tangent[:, i] @ jphis for i in range(5))
-
-    forms, worst = _solve_su2_plus(np.array(targets), dec.phi, basis, eps)
+    phi, triple, coeffs, _ = _raw_split(nabla, space, eps)
+    beta = coeffs[4:]
+    jphis = np.array([op(phi) for op in triple.ops()])
+    plus = so5_splitting(space, eps).su2_plus
+    # beta on X = e_1..e_5, on y, and on the projections of e_i to D.
+    betas = np.hstack([beta, (beta @ space.y)[:, None],
+                       (beta @ space.d_basis.T) @ space.d_basis])
+    c, worst = _solve_forms(plus, phi, betas.T @ jphis, eps, "rotation form")
+    forms = c.T @ plus
     return OmegaDecomposition(omega=forms[:5], omega_zeta=forms[5],
                               omega_d=forms[6:], residual=worst)
 
@@ -288,22 +283,11 @@ def intrinsic_torsion(nabla: NablaDatum, space: AdmissibleSpace,
                       eps: float = nx.EPS_DEFAULT) -> IntrinsicTorsion:
     """Solve xi_i . phi = -nabla_i phi inside su(2)+ + D wedge y."""
     validate_nabla(nabla, eps)
-    phi = np.asarray(nabla.phi, dtype=complex)
-    if nx.distance_to_row_span(phi, space.vperp_basis, eps) > np.sqrt(eps):
-        raise InputError("base spinor must lie in the plane's complement")
+    phi = _complement_spinor(nabla.phi, space, eps)
     splitting = so5_splitting(space, eps)
     basis = np.vstack([splitting.su2_plus, splitting.r4])
-    a = np.array([cl.spinor_to_real(cl.form_action(w, phi)) for w in basis]).T
-    xi = np.empty((5, 10))
-    plus = np.empty((5, 10))
-    r4 = np.empty((5, 10))
-    worst = 0.0
-    for i, d in enumerate(np.asarray(nabla.derivatives, dtype=complex)):
-        c, res = nx.solve_columns(a, -cl.spinor_to_real(d))
-        worst = max(worst, res)
-        xi[i] = basis.T @ c
-        plus[i] = splitting.su2_plus.T @ c[:3]
-        r4[i] = splitting.r4.T @ c[3:]
-    if worst > np.sqrt(eps) * max(1.0, float(np.abs(nabla.derivatives).max())):
-        raise DerivationFailure(f"intrinsic torsion residual {worst:.3e}")
-    return IntrinsicTorsion(xi=xi, su2_plus_part=plus, r4_part=r4, residual=worst)
+    derivs = np.asarray(nabla.derivatives, dtype=complex)
+    c, worst = _solve_forms(basis, phi, -derivs, eps, "intrinsic torsion")
+    return IntrinsicTorsion(xi=c.T @ basis,
+                            su2_plus_part=c[:3].T @ splitting.su2_plus,
+                            r4_part=c[3:].T @ splitting.r4, residual=worst)

@@ -182,6 +182,27 @@ def test_decompose_rotate_block(monkeypatch, capsys, decompose_payload):
     assert np.abs(observed - np.array(doc["beta"])).max() > 1e-3
 
 
+def test_decompose_rotate_negative_first_component(monkeypatch, capsys,
+                                                   decompose_payload):
+    outputs = []
+    for argv in (["--rotate", "-0.6,0.8,0,0"], ["--rotate=-0.6,0.8,0,0"]):
+        code, out, _ = run(monkeypatch, capsys,
+                           ["decompose-torsion", "--json"] + argv,
+                           decompose_payload)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["rotation"]["quaternion"] == [-0.6, 0.8, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("raw", ["nan,0,0,0", "1,inf,0,0"])
+def test_decompose_rotate_non_finite(monkeypatch, capsys, decompose_payload, raw):
+    code, _, err = run(monkeypatch, capsys,
+                       ["decompose-torsion", "--rotate", raw], decompose_payload)
+    assert code == 2
+    assert "finite" in err
+
+
 def test_decompose_rotate_bad_argument(monkeypatch, capsys,
                                        decompose_payload):
     code, _, err = run(monkeypatch, capsys,
@@ -238,6 +259,24 @@ def test_verify_all_detects_tampering(monkeypatch, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["summary"]["fail"] > 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_all_rejects_samples_below_one(monkeypatch, capsys, samples):
+    code, out, err = run(monkeypatch, capsys,
+                         ["verify-all", "--json", "--samples", samples])
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_analyze_rejects_non_finite_entries(monkeypatch, capsys, value):
+    payload = {"spinor": [[value, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    code, out, err = run(monkeypatch, capsys, ["analyze-spinor"], payload)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_eps_env_override(monkeypatch, capsys):

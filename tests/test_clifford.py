@@ -125,6 +125,25 @@ def test_spinor_real_roundtrip(rng):
     phi = cl.random_unit_spinor(rng)
     assert np.allclose(cl.real_to_spinor(cl.spinor_to_real(phi)), phi)
     assert abs(np.linalg.norm(cl.spinor_to_real(phi)) - 1.0) <= 1e-12
+    stack = np.array([cl.random_unit_spinor(rng) for _ in range(3)])
+    real = cl.spinor_to_real(stack)
+    assert real.shape == (3, 8)
+    for row, psi in zip(real, stack):
+        assert np.array_equal(row, cl.spinor_to_real(psi))
+
+
+def test_matrix_reps_accept_batch_axes(rng):
+    xs = rng.standard_normal((3, 5))
+    ws = rng.standard_normal((2, 3, 10))
+    assert np.array_equal(cl.vector_matrix(xs),
+                          np.array([cl.vector_matrix(x) for x in xs]))
+    stacked = cl.two_form_matrix_rep(ws)
+    assert stacked.shape == (2, 3, 4, 4)
+    assert np.abs(stacked[1, 2] - cl.two_form_matrix_rep(ws[1, 2])).max() <= 1e-15
+    with pytest.raises(InputError):
+        cl.vector_matrix(rng.standard_normal((5, 4)))
+    with pytest.raises(InputError):
+        cl.two_form_matrix_rep(1.0)
 
 
 def test_kform_wedge_anticommutes():

@@ -34,7 +34,11 @@ def test_matrix_encoders(rng):
     assert np.array_equal(back, c)
 
 
-@pytest.mark.parametrize("bad", [None, 3, [1, 2, 3], [[1, 2]] * 3])
+@pytest.mark.parametrize("bad", [None, 3, [1, 2, 3], [[1, 2]] * 3,
+                                 [[float("nan"), 0]] + [[0, 0]] * 3,
+                                 [[1, float("inf")]] + [[0, 0]] * 3,
+                                 [[0, 0]] * 3 + [[float("-inf"), 0]],
+                                 [[10 ** 400, 0]] + [[0, 0]] * 3])
 def test_parse_spinor_rejects_bad_shapes(bad):
     with pytest.raises(InputError, match="spinor"):
         jsonio.parse_spinor(bad)

@@ -49,6 +49,11 @@ def test_solve_columns_exact(rng):
     sol, res = nx.solve_columns(a, a @ x)
     assert np.linalg.norm(sol - x) <= 1e-10
     assert res <= 1e-10
+    xs = rng.standard_normal((3, 4))
+    sol, res = nx.solve_columns(a, a @ xs)
+    assert sol.shape == (3, 4)
+    assert np.abs(sol - xs).max() <= 1e-10
+    assert res <= 1e-10
 
 
 def test_solve_columns_reports_inconsistency(rng):
@@ -56,6 +61,12 @@ def test_solve_columns_reports_inconsistency(rng):
     target = np.array([0.0, 0.0, 1.0, 0.0])
     _, res = nx.solve_columns(a, target)
     assert res >= 0.9
+    # columns: consistent, off by 0.5, off by 2; the worst column is reported
+    targets = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0],
+                        [0.0, 0.0, 0.0, 2.0]]).T
+    sol, res = nx.solve_columns(a, targets)
+    assert np.abs(sol - [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).max() <= 1e-12
+    assert abs(res - 2.0) <= 1e-12
 
 
 def test_subspace_distance_bounds(rng):

@@ -23,6 +23,15 @@ def test_charge_conjugation_laws():
         assert np.abs(c @ g.conj() + g @ c).max() <= 1e-12
 
 
+def test_charge_conjugation_rejects_tampered_generators(monkeypatch):
+    bad = list(cl._GAMMA)
+    bad[2] = bad[2].copy()
+    bad[2][0, 0] = 0.5
+    monkeypatch.setattr(cl, "_GAMMA", tuple(bad))
+    with pytest.raises(sp.DerivationFailure):
+        sp.charge_conjugation()
+
+
 def test_global_triple_quaternion_relations(rng):
     triple = sp.global_triple()
     ops = triple.ops()
