@@ -18,6 +18,7 @@ tolerance comes from the SPIN5_EPS environment variable when set.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -35,16 +36,17 @@ from .numerics import EPS_DEFAULT
 from .verify import run_checks
 
 
-def _default_eps() -> float:
-    raw = os.environ.get("SPIN5_EPS")
-    if raw is None:
-        return EPS_DEFAULT
+def _resolve_eps(flag: float | None) -> float:
+    """--eps, else SPIN5_EPS, else EPS_DEFAULT; outside [1e-13, 1e-2] a tolerance
+    breaks the registry or the analysis, so it is rejected."""
+    source, raw = (("--eps", flag) if flag is not None
+                   else ("SPIN5_EPS", os.environ.get("SPIN5_EPS", EPS_DEFAULT)))
     try:
         value = float(raw)
     except ValueError as exc:
         raise InputError(f"SPIN5_EPS is not a number: {raw!r}") from exc
-    if not 0.0 < value < 1.0:
-        raise InputError(f"SPIN5_EPS must be in (0, 1), got {value!r}")
+    if not 1e-13 <= value <= 1e-2:
+        raise InputError(f"{source} must be in [1e-13, 1e-2], got {value!r}")
     return value
 
 
@@ -78,7 +80,7 @@ def _fmt_spinor(phi: np.ndarray) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     payload = _read_payload(args)
     phi = jsonio.parse_spinor(jsonio.get_field(payload, "spinor"))
-    norm = float(np.linalg.norm(phi))
+    norm = math.hypot(*np.abs(phi))   # scale-safe: entries of 1e200 do not overflow
     if args.normalize:
         if norm < np.sqrt(args.eps):
             raise NonUnitSpinor(f"cannot normalize a spinor of norm {norm:.3e}")
@@ -296,10 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             argv[k - 1:k + 1] = [f"--rotate={argv[k]}"]
     args = parser.parse_args(argv)
     try:
-        if args.eps is None:
-            args.eps = _default_eps()
-        elif not 0.0 < args.eps < 1.0:
-            raise InputError(f"--eps must be in (0, 1), got {args.eps!r}")
+        args.eps = _resolve_eps(args.eps)
         return args.fn(args)
     except (InputError, DegenerateSubspace) as exc:
         print(f"spin5: input error: {exc}", file=sys.stderr)

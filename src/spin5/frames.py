@@ -17,23 +17,24 @@ import numpy as np
 
 from . import clifford as cl
 from . import numerics as nx
-from .errors import NonUnitSpinor, NumericalRankFailure
+from . import quaternionic as qt
+from .errors import DerivationFailure, NonUnitSpinor, NumericalRankFailure
 
 
 def rep_matrix(phi: np.ndarray) -> np.ndarray:
     """8x5 real matrix whose j-th column is e_j . phi in real coordinates.
 
-    Its column space is W_phi; rank 5 for every unit spinor.
+    Its column space is W_phi; for a unit spinor the columns are
+    orthonormal.  A (k, 4) stack of spinors gives a (k, 8, 5) stack.
     """
-    return cl.spinor_to_real(cl.vector_matrix(np.eye(5)) @ np.asarray(phi)).T
+    images = (cl.vector_matrix(np.eye(5)) @ np.asarray(phi)[..., None, :, None])[..., 0]
+    return np.swapaxes(cl.spinor_to_real(images), -1, -2)
 
 
 def reeb_vector(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     """The unique unit vector y with y . phi = i*phi."""
     phi = np.asarray(phi, dtype=complex)
-    norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > eps:
-        raise NonUnitSpinor(f"spinor norm is {norm!r}, expected 1")
+    nx.require_unit(np.linalg.norm(phi), eps, NonUnitSpinor, "spinor norm")
     r = rep_matrix(phi)
     if nx.numerical_rank(r, eps) != 5:
         raise NumericalRankFailure("representation matrix is rank deficient")
@@ -85,17 +86,14 @@ def build_frame(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> SpinorFrame:
 
     w_basis = cl.vector_matrix(np.eye(5)) @ phi
 
-    # phi_tilde spans the hermitian-orthogonal complement of phi inside the
-    # +i eigenspace of the Reeb action.
-    eig = nx.kernel_basis(cl.vector_matrix(y) - 1j * np.eye(4), eps)
-    if eig.shape[0] != 2:
-        raise NumericalRankFailure(
-            f"+i eigenspace of the Reeb action has dimension {eig.shape[0]}")
-    reduced = eig - np.outer(eig @ phi.conj(), phi)
-    line = nx.row_space_basis(reduced, eps)
-    if line.shape[0] != 1:
-        raise NumericalRankFailure("partner spinor is not unique")
-    phi_tilde = nx.phase_normalize(line[0] / np.linalg.norm(line[0]), eps)
+    # phi_tilde = C conj(phi) spans the hermitian-orthogonal complement of
+    # phi inside the +i eigenspace of the Reeb action.
+    phi_tilde = nx.phase_normalize(
+        qt.charge_conjugation(eps) @ phi.conj() / np.linalg.norm(phi), eps)
+    worst = max(abs(cl.hermitian(phi_tilde, phi)), float(np.linalg.norm(
+        cl.vector_matrix(y) @ phi_tilde - 1j * phi_tilde)))
+    if worst > np.sqrt(eps):
+        raise DerivationFailure(f"C conj(phi) breaks the partner laws by {worst:.3e}")
 
     return SpinorFrame(phi=phi, y=y, d_basis=d_basis, v_basis=v_basis,
                        w_basis=w_basis, phi_tilde=phi_tilde)

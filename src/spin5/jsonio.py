@@ -111,7 +111,7 @@ def load_payload(text: str) -> dict:
     """Parse a JSON object from text, mapping any failure to InputError."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also over-long integers, deep nesting
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise InputError("expected a JSON object at the top level")

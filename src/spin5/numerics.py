@@ -60,6 +60,25 @@ def solve_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, res
 
 
+def project_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """solve_columns for a real a with pairwise orthogonal columns.
+
+    Then the least-squares solution is x = a^T b / |a_j|^2, column by column.
+    a may carry leading batch axes; the residual is the worst over all of them.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    col = b[..., None] if b.ndim == 1 else b
+    x = (np.swapaxes(a, -1, -2) @ col) / np.sum(a * a, axis=-2)[..., None]
+    res = float(np.linalg.norm(a @ x - col, axis=-2).max(initial=0.0))
+    return (x[..., 0] if b.ndim == 1 else x), res
+
+
+def require_unit(value: float, eps: float, error: type[Exception], what: str) -> None:
+    """Raise error unless |value - 1| <= eps; NaN fails the test."""
+    if not abs(value - 1.0) <= eps:
+        raise error(f"{what} is {value!r}, expected 1")
+
+
 def projector(basis: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the row span of an orthonormal basis."""
     basis = np.atleast_2d(np.asarray(basis))

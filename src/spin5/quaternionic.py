@@ -50,9 +50,7 @@ def _complement_spinor(phi: np.ndarray, space: "AdmissibleSpace",
                        eps: float) -> np.ndarray:
     """phi as a complex array, required to be a unit spinor in V-perp."""
     phi = np.asarray(phi, dtype=complex)
-    norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > eps:
-        raise NonUnitSpinor(f"spinor norm is {norm!r}, expected 1")
+    nx.require_unit(np.linalg.norm(phi), eps, NonUnitSpinor, "spinor norm")
     if nx.distance_to_row_span(phi, space.vperp_basis, eps) > np.sqrt(eps):
         raise InputError("spinor must lie in the plane's complement")
     return phi
@@ -122,8 +120,8 @@ def complex_structure(phi: np.ndarray, space: "AdmissibleSpace",
     phi must be a unit spinor in the orthogonal complement of the plane.
     """
     images = cl.vector_matrix(space.d_basis) @ _complement_spinor(phi, space, eps)
-    j, res = nx.solve_columns(cl.spinor_to_real(images).T,
-                              cl.spinor_to_real(1j * images).T)
+    j, res = nx.project_columns(cl.spinor_to_real(images).T,
+                                cl.spinor_to_real(1j * images).T)
     if res > np.sqrt(eps):
         raise NumericalRankFailure(
             f"defining system unsolvable, residual {res:.3e}")
@@ -133,9 +131,8 @@ def complex_structure(phi: np.ndarray, space: "AdmissibleSpace",
 def hopf(a: float, b: float, c: float, d: float,
          eps: float = nx.EPS_DEFAULT) -> tuple[float, float, float]:
     """Hopf fibration S^3 -> S^2 in the coordinates used by hopf_matrix."""
-    n = a * a + b * b + c * c + d * d
-    if abs(n - 1.0) > eps:
-        raise NonUnitInput(f"quadruple has squared norm {n!r}, expected 1")
+    nx.require_unit(a * a + b * b + c * c + d * d, eps, NonUnitInput,
+                    "squared norm of the quadruple")
     return (a * a + b * b - c * c - d * d,
             2.0 * (a * d - b * c),
             2.0 * (a * c + b * d))
@@ -144,9 +141,8 @@ def hopf(a: float, b: float, c: float, d: float,
 def hopf_matrix(alpha: float, beta: float, gamma: float,
                 eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     """Complex structure on R^4 parametrized by a point of S^2."""
-    n = alpha * alpha + beta * beta + gamma * gamma
-    if abs(n - 1.0) > eps:
-        raise NonUnitInput(f"sphere point has squared norm {n!r}, expected 1")
+    nx.require_unit(alpha * alpha + beta * beta + gamma * gamma, eps,
+                    NonUnitInput, "squared norm of the sphere point")
     return np.array([[0.0, alpha, -beta, -gamma],
                      [-alpha, 0.0, -gamma, beta],
                      [beta, gamma, 0.0, alpha],
@@ -176,8 +172,8 @@ def induced_map(t: np.ndarray, phi: np.ndarray, space: "AdmissibleSpace",
     c = images @ space.v_basis.conj().T      # row p: <b_p . phi, v_1>, <., v_2>
     coords = np.stack([c.real, c.imag], axis=-1).reshape(4, 4) @ t.T
     w = (coords[:, 0::2] + 1j * coords[:, 1::2]) @ space.v_basis
-    out, res = nx.solve_columns(cl.spinor_to_real(images).T,
-                                cl.spinor_to_real(w).T)
+    out, res = nx.project_columns(cl.spinor_to_real(images).T,
+                                  cl.spinor_to_real(w).T)
     if res > np.sqrt(eps):
         raise NumericalRankFailure(
             f"induced endomorphism undefined, residual {res:.3e}")

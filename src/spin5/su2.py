@@ -66,14 +66,10 @@ def is_admissible(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
     comp = nx.kernel_basis(basis.conj(), eps)
 
     tol = np.sqrt(eps)
-    targets = cl.spinor_to_real(basis).T
-    max_span = 0.0
-    for _ in range(samples):
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = comp.T @ c
-        psi = psi / np.linalg.norm(psi)
-        _, res = nx.solve_columns(rep_matrix(psi), targets)
-        max_span = max(max_span, res)
+    z = rng.standard_normal((samples, 2, 2))   # sample s: Re c = z[s, 0], Im c = z[s, 1]
+    psi = (z[:, 0] + 1j * z[:, 1]) @ comp
+    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    _, max_span = nx.project_columns(rep_matrix(psi), cl.spinor_to_real(basis).T)
     spanning = max_span <= tol
 
     conj_op = qt.charge_conjugation(eps)
@@ -158,6 +154,14 @@ def two_form_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ma = cl.two_form_to_matrix(a)
     mb = cl.two_form_to_matrix(b)
     return cl.matrix_to_two_form(ma @ mb - mb @ ma)
+
+
+def random_complement_spinor(space: AdmissibleSpace,
+                             rng: np.random.Generator) -> np.ndarray:
+    """Random unit spinor in the plane's complement."""
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    phi = space.vperp_basis.T @ c
+    return phi / np.linalg.norm(phi)
 
 
 def random_admissible_space(rng: np.random.Generator,

@@ -25,7 +25,7 @@ from .errors import (BasisDegeneracy, DerivationFailure, InputError,
                      NonOrthogonalDerivative, NonUnitQuaternion, NonUnitSpinor)
 from .quaternionic import (StructureTriple, _complement_spinor, adapted_triple,
                            triple_on_distribution)
-from .su2 import AdmissibleSpace, so5_splitting
+from .su2 import AdmissibleSpace, random_complement_spinor, so5_splitting
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class NablaDatum:
 
 def validate_nabla(nabla: NablaDatum, eps: float = nx.EPS_DEFAULT) -> None:
     phi = np.asarray(nabla.phi, dtype=complex)
-    n = np.linalg.norm(phi)
-    if abs(n - 1.0) > eps:
-        raise NonUnitSpinor(f"base spinor norm is {n!r}, expected 1")
+    nx.require_unit(np.linalg.norm(phi), eps, NonUnitSpinor, "base spinor norm")
     derivs = np.asarray(nabla.derivatives, dtype=complex)
     if derivs.shape != (5, 4):
         raise InputError(f"derivatives must have shape (5, 4), got {derivs.shape}")
@@ -54,9 +52,7 @@ def validate_nabla(nabla: NablaDatum, eps: float = nx.EPS_DEFAULT) -> None:
 def random_nabla(space: AdmissibleSpace, rng: np.random.Generator,
                  scale: float = 1.0) -> NablaDatum:
     """Random valid datum with base spinor in the plane's complement."""
-    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    phi = space.vperp_basis.T @ c
-    phi = phi / np.linalg.norm(phi)
+    phi = random_complement_spinor(space, rng)
     derivs = scale * (rng.standard_normal((5, 4))
                       + 1j * rng.standard_normal((5, 4)))
     derivs = derivs - np.outer([cl.inner(d, phi) for d in derivs], phi)
@@ -135,7 +131,7 @@ def _solve_forms(basis: np.ndarray, phi: np.ndarray, targets: np.ndarray,
                  eps: float, what: str) -> tuple[np.ndarray, float]:
     """Coefficients c with (c[:, i] @ basis) . phi = targets[i] for each i."""
     a = cl.spinor_to_real(cl.two_form_matrix_rep(basis) @ phi).T
-    c, worst = nx.solve_columns(a, cl.spinor_to_real(targets).T)
+    c, worst = nx.project_columns(a, cl.spinor_to_real(targets).T)
     _require_solved(worst, targets, eps, what)
     return c, worst
 
@@ -151,8 +147,8 @@ def _raw_split(nabla: NablaDatum, space: AdmissibleSpace, eps: float
     phi = _complement_spinor(nabla.phi, space, eps)
     triple = adapted_triple(space, eps)
     derivs = np.asarray(nabla.derivatives, dtype=complex)
-    coeffs, residual = nx.solve_columns(_tangent_basis(phi, space, triple),
-                                        cl.spinor_to_real(derivs).T)
+    coeffs, residual = nx.project_columns(_tangent_basis(phi, space, triple),
+                                          cl.spinor_to_real(derivs).T)
     _require_solved(residual, derivs, eps, "derivative split")
     return phi, triple, coeffs, residual
 
@@ -228,9 +224,8 @@ def rotation_from_quaternion(a: np.ndarray,
     a = np.asarray(a, dtype=float)
     if a.shape != (4,):
         raise InputError(f"quaternion must have shape (4,), got {a.shape}")
-    n = float(a @ a)
-    if abs(n - 1.0) > eps:
-        raise NonUnitQuaternion(f"quaternion has squared norm {n!r}, expected 1")
+    nx.require_unit(float(a @ a), eps, NonUnitQuaternion,
+                    "squared norm of the quaternion")
     a0, a1, a2, a3 = a
     return np.array([
         [a0 * a0 + a1 * a1 - a2 * a2 - a3 * a3,
@@ -259,9 +254,8 @@ def rotate_spinor_datum(a: np.ndarray, nabla: NablaDatum,
                         eps: float = nx.EPS_DEFAULT) -> NablaDatum:
     """Apply the quaternion a through the adapted triple to phi and its data."""
     a = np.asarray(a, dtype=float)
-    n = float(a @ a)
-    if abs(n - 1.0) > eps:
-        raise NonUnitQuaternion(f"quaternion has squared norm {n!r}, expected 1")
+    nx.require_unit(float(a @ a), eps, NonUnitQuaternion,
+                    "squared norm of the quaternion")
     validate_nabla(nabla, eps)
     triple = adapted_triple(space, eps)
     psi = triple.apply_quaternion(a, nabla.phi)

@@ -257,23 +257,20 @@ def _chk_frames_reeb(ctx: CheckContext) -> Outcome:
     rng = ctx.rng()
     n = ctx.count(100)
     worst = 0.0
-    min_sigma = np.inf
     for _ in range(n):
         phi = cl.random_unit_spinor(rng)
         y = reeb_vector(phi, ctx.eps)
         worst = max(worst, abs(np.linalg.norm(y) - 1.0))
         worst = max(worst, float(np.linalg.norm(cl.vector_action(y, phi) - 1j * phi)))
-        min_sigma = min(min_sigma, float(
-            np.linalg.svd(rep_matrix(phi), compute_uv=False)[-1]))
+        r = rep_matrix(phi)
+        worst = max(worst, float(np.linalg.norm(r.T @ r - np.eye(5))))
     worst = max(worst, float(np.linalg.norm(
         reeb_vector(cl.standard_spinor(1)) - cl.standard_vector(5))))
     worst = max(worst, float(np.linalg.norm(
         reeb_vector(cl.standard_spinor(3)) + cl.standard_vector(5))))
-    detail = (f"solution is unique: smallest singular value of the 8x5 system "
-              f"is {min_sigma:.3f}; on basis spinors y is +-e_5 exactly")
-    return _verdict(worst, ctx.eps, n,
-                    "every unit spinor has a unique unit y with y.phi = i phi",
-                    ) [:3] + (detail,)
+    detail = ("solution is unique: the 8x5 system is an isometry (R^T R = Id "
+              "within the residual); on basis spinors y is +-e_5 exactly")
+    return _verdict(worst, ctx.eps, n, detail)
 
 
 def _chk_frames_splitting(ctx: CheckContext) -> Outcome:
@@ -359,9 +356,7 @@ def _chk_su2_spinor_orbit(ctx: CheckContext) -> Outcome:
         worst = max(worst, float(sing[7]) if sing.size > 7 else 0.0)
         worst = max(worst, max(abs(cl.inner(p @ phi, phi)) for p in products))
     detail = f"orbit rank is 7 (7th singular value >= {min_gap:.3f})"
-    return _verdict(worst, ctx.eps, n,
-                    "so(5).phi is exactly the 7-dimensional real orthogonal "
-                    "complement of phi")[:3] + (detail,)
+    return _verdict(worst, ctx.eps, n, detail)
 
 
 _FUNDAMENTAL_ANNIHILATOR = np.array([
@@ -385,9 +380,7 @@ def _chk_su2_annihilator(ctx: CheckContext) -> Outcome:
     worst = max(worst, worst_fund if worst_fund > 1e-12 else 0.0)
     detail = (f"annihilator of the first basis spinor matches "
               f"span{{e12-e34, e13+e24, e14-e23}} to {worst_fund:.1e}")
-    return _verdict(worst, ctx.eps, n,
-                    "every unit spinor has a 3-dimensional two-form "
-                    "annihilator")[:3] + (detail,)
+    return _verdict(worst, ctx.eps, n, detail)
 
 
 def _chk_su2_equivalence(ctx: CheckContext) -> Outcome:
@@ -400,9 +393,7 @@ def _chk_su2_equivalence(ctx: CheckContext) -> Outcome:
         ref = su.annihilator(space.vperp_basis[0], ctx.eps)
         probes = [space.vperp_basis[1]]
         for _ in range(per):
-            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            psi = space.vperp_basis.T @ c
-            probes.append(psi / np.linalg.norm(psi))
+            probes.append(su.random_complement_spinor(space, rng))
         for psi in probes:
             worst = max(worst, nx.subspace_distance(
                 su.annihilator(psi, ctx.eps), ref))
@@ -504,9 +495,7 @@ def _chk_su2_splitting(ctx: CheckContext) -> Outcome:
               f"su(2)+ is the complement of su(2)- inside the tangent "
               f"two-forms; condition number of the 10x10 basis is "
               f"{worst_cond:.6f}")
-    return _verdict(worst, ctx.eps, n,
-                    "the two-forms split as su(2)- + su(2)+ + D^y with "
-                    "orthonormal blocks")[:3] + (detail,)
+    return _verdict(worst, ctx.eps, n, detail)
 
 
 def _chk_su2_brackets(ctx: CheckContext) -> Outcome:
@@ -529,9 +518,7 @@ def _chk_su2_brackets(ctx: CheckContext) -> Outcome:
     detail = (f"each block closes under the bracket with structure constants "
               f"of modulus {c123:.4f} (sqrt 2 for orthonormal su(2) bases) "
               "and the two blocks commute elementwise")
-    return _verdict(worst, ctx.eps, n,
-                    "su(2)- and su(2)+ are commuting 3-dimensional "
-                    "subalgebras")[:3] + (detail,)
+    return _verdict(worst, ctx.eps, n, detail)
 
 
 def _chk_su2_action_targets(ctx: CheckContext) -> Outcome:
@@ -665,9 +652,7 @@ def _chk_quaternionic_complex_structure(ctx: CheckContext) -> Outcome:
     worst = 0.0
     for _ in range(n):
         space = su.random_admissible_space(rng, ctx.eps)
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        phi = space.vperp_basis.T @ c
-        phi = phi / np.linalg.norm(phi)
+        phi = su.random_complement_spinor(space, rng)
         j = qt.complex_structure(phi, space, ctx.eps)
         worst = max(worst, float(np.abs(j @ j + np.eye(4)).max()))
         worst = max(worst, float(np.abs(j.T @ j - np.eye(4)).max()))
@@ -713,9 +698,7 @@ def _chk_quaternionic_hopf_fiber(ctx: CheckContext) -> Outcome:
     worst = 0.0
     for _ in range(spaces):
         space = su.random_admissible_space(rng, ctx.eps)
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        phi = space.vperp_basis.T @ c
-        phi = phi / np.linalg.norm(phi)
+        phi = su.random_complement_spinor(space, rng)
         j = qt.complex_structure(phi, space, ctx.eps)
         for _ in range(phases):
             lam = np.exp(2j * np.pi * rng.random())
@@ -766,9 +749,7 @@ def _chk_quaternionic_nonexistence(ctx: CheckContext) -> Outcome:
     def induced_spread(t: np.ndarray) -> float:
         maps = []
         for _ in range(phi_count):
-            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            phi = space.vperp_basis.T @ c
-            phi = phi / np.linalg.norm(phi)
+            phi = su.random_complement_spinor(space, rng)
             maps.append(qt.induced_map(t, phi, space, ctx.eps))
         return max(float(np.abs(a - b).max())
                    for i, a in enumerate(maps) for b in maps[i + 1:])
@@ -836,10 +817,7 @@ def _chk_quaternionic_distribution_triple(ctx: CheckContext) -> Outcome:
     detail = ("on the fundamental plane the triple is J(1,0,0), J(0,1,0) and "
               "J(0,0,-1) = J1 J2 with forms e12+e34, -e13+e24, e14+e23; the "
               "stated product sign matches the stated sphere point")
-    return _verdict(worst, ctx.eps, n,
-                    "the distribution triple multiplies like quaternions, "
-                    "solves its defining spinor equations, and w_k.phi_k = "
-                    "2i phi_k with w_k inside su(2)+")[:3] + (detail,)
+    return _verdict(worst, ctx.eps, n, detail)
 
 
 def _chk_quaternionic_quadruplet(ctx: CheckContext) -> Outcome:
@@ -1017,9 +995,7 @@ def _chk_spin_quaternion_commute(ctx: CheckContext) -> Outcome:
     detail = ("the global triple commutes with every element; the "
               "plane-adapted triple commutes with the plane's stabilizer "
               f"(residual {stab_worst:.1e})")
-    return _verdict(worst, ctx.eps, n,
-                    "the quaternion action commutes with the group "
-                    "action")[:3] + (detail,)
+    return _verdict(worst, ctx.eps, n, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -300,3 +300,58 @@ def test_eps_flag_out_of_range(monkeypatch, capsys):
                        spinor_payload(cl.standard_spinor(1)))
     assert code == 2
     assert "--eps" in err
+
+
+HUGE_INTEGER_PAYLOAD = ('{"spinor": [[1' + "0" * 5000
+                        + ', 0], [0, 0], [0, 0], [0, 0]]}')
+
+
+@pytest.mark.parametrize("text", [HUGE_INTEGER_PAYLOAD, "[" * 100000],
+                         ids=["huge-integer", "deep-nesting"])
+def test_unparseable_payload_is_input_error(monkeypatch, capsys, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = cli.main(["analyze-spinor"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "invalid JSON" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0.9", "1e-300"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_eps_outside_working_range(monkeypatch, capsys, value, via):
+    argv = ["analyze-spinor"]
+    if via == "flag":
+        argv += ["--eps", value]
+    else:
+        monkeypatch.setenv("SPIN5_EPS", value)
+    code, out, err = run(monkeypatch, capsys, argv,
+                         spinor_payload(cl.standard_spinor(1)))
+    assert code == 2
+    assert out == ""
+    assert ("--eps" if via == "flag" else "SPIN5_EPS") in err
+
+
+@pytest.mark.parametrize("value", ["1e-13", "1e-2"])
+def test_eps_range_ends_accepted(monkeypatch, capsys, value):
+    code, _, _ = run(monkeypatch, capsys, ["analyze-spinor", "--eps", value],
+                     spinor_payload(cl.standard_spinor(1)))
+    assert code == 0
+
+
+def test_analyze_normalize_huge_entries(monkeypatch, capsys):
+    phi = np.array([3e200, 4e200j, 0.0, 0.0])
+    code, out, _ = run(monkeypatch, capsys,
+                       ["analyze-spinor", "--json", "--normalize"],
+                       spinor_payload(phi))
+    assert code == 0
+    assert np.allclose(json.loads(out)["spinor"],
+                       jsonio.encode_spinor([0.6, 0.8j, 0.0, 0.0]))
+
+
+def test_analyze_normalize_rejects_norm_below_sqrt_eps(monkeypatch, capsys):
+    code, _, err = run(monkeypatch, capsys,
+                       ["analyze-spinor", "--normalize"],
+                       spinor_payload(1e-6 * cl.standard_spinor(1)))
+    assert code == 3
+    assert "cannot normalize" in err

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+import spin5.clifford as cl
+import spin5.frames as fr
 import spin5.numerics as nx
+import spin5.quaternionic as qt
+import spin5.su2 as su
+import spin5.torsion as ts
 from spin5 import DegenerateSubspace
 
 
@@ -57,16 +62,68 @@ def test_solve_columns_exact(rng):
 
 
 def test_solve_columns_reports_inconsistency(rng):
-    a = np.eye(4)[:, :2]
-    target = np.array([0.0, 0.0, 1.0, 0.0])
-    _, res = nx.solve_columns(a, target)
-    assert res >= 0.9
-    # columns: consistent, off by 0.5, off by 2; the worst column is reported
-    targets = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0],
-                        [0.0, 0.0, 0.0, 2.0]]).T
-    sol, res = nx.solve_columns(a, targets)
-    assert np.abs(sol - [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).max() <= 1e-12
-    assert abs(res - 2.0) <= 1e-12
+    # a has orthonormal columns, so project_columns applies as well
+    for solve in (nx.solve_columns, nx.project_columns):
+        a = np.eye(4)[:, :2]
+        target = np.array([0.0, 0.0, 1.0, 0.0])
+        _, res = solve(a, target)
+        assert res >= 0.9
+        # columns: consistent, off by 0.5, off by 2; the worst is reported
+        targets = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0],
+                            [0.0, 0.0, 0.0, 2.0]]).T
+        sol, res = solve(a, targets)
+        assert np.abs(sol - [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).max() <= 1e-12
+        assert abs(res - 2.0) <= 1e-12
+
+
+def _clifford_frames(rng):
+    """The five orthogonal frames of the pipeline, for random unit spinors."""
+    space = su.random_admissible_space(rng)
+    phi = su.random_complement_spinor(space, rng)
+    splitting = su.so5_splitting(space)
+    forms = np.vstack([splitting.su2_plus, splitting.r4])
+    return {
+        "w_psi": fr.rep_matrix(cl.random_unit_spinor(rng)),
+        "d_phi": cl.spinor_to_real(cl.vector_matrix(space.d_basis) @ phi).T,
+        "tangent": ts._tangent_basis(phi, space, qt.adapted_triple(space)),
+        "su2_plus": cl.spinor_to_real(
+            cl.two_form_matrix_rep(splitting.su2_plus) @ phi).T,
+        "su2_plus_r4": cl.spinor_to_real(cl.two_form_matrix_rep(forms) @ phi).T,
+    }
+
+
+@pytest.mark.parametrize("family", ["w_psi", "d_phi", "tangent", "su2_plus",
+                                    "su2_plus_r4"])
+def test_project_columns_matches_solve_on_clifford_frames(rng, family):
+    for _ in range(5):
+        a = _clifford_frames(rng)[family]
+        for b in (rng.standard_normal(8), rng.standard_normal((8, 6)),
+                  a @ rng.standard_normal((a.shape[1], 3))):
+            x_ls, res_ls = nx.solve_columns(a, b)
+            x_pr, res_pr = nx.project_columns(a, b)
+            assert x_pr.shape == x_ls.shape
+            assert np.abs(x_pr - x_ls).max() <= 1e-12
+            assert abs(res_pr - res_ls) <= 1e-12
+
+
+def test_project_columns_on_a_stack(rng):
+    phis = np.array([cl.random_unit_spinor(rng) for _ in range(20)])
+    stack = fr.rep_matrix(phis)
+    assert stack.shape == (20, 8, 5)
+    b = rng.standard_normal((8, 2))
+    x, res = nx.project_columns(stack, b)
+    single = [nx.solve_columns(a, b) for a in stack]
+    assert np.abs(x - np.array([s for s, _ in single])).max() <= 1e-12
+    assert abs(res - max(r for _, r in single)) <= 1e-12
+    for a, phi in zip(stack, phis):
+        assert np.array_equal(a, fr.rep_matrix(phi))
+
+
+def test_require_unit_rejects_nan():
+    nx.require_unit(1.0 + 1e-10, 1e-9, ValueError, "norm")
+    for value in (float("nan"), 1.0 + 1e-8):
+        with pytest.raises(ValueError, match="norm is"):
+            nx.require_unit(value, 1e-9, ValueError, "norm")
 
 
 def test_subspace_distance_bounds(rng):

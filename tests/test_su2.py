@@ -4,6 +4,7 @@ import pytest
 import spin5 as sp
 import spin5.clifford as cl
 import spin5.numerics as nx
+from spin5.frames import rep_matrix
 
 FUNDAMENTAL_ANNIHILATOR = np.array([
     [1.0, 0, 0, 0, 0, 0, 0, -1.0, 0, 0],   # e12 - e34
@@ -55,6 +56,28 @@ def test_is_admissible_random_plane_fails(rng):
     result = sp.is_admissible(rows)
     assert not result.verdict
     assert result.spanning_test == result.conjugation_test
+
+
+def test_is_admissible_draws_one_batch(fundamental_space, rng):
+    rows = nx.orthonormalize_rows(
+        rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)),
+        require=2)
+    for basis in (fundamental_space.v_basis, rows):
+        used = np.random.default_rng(7)
+        result = sp.is_admissible(basis, rng=used)
+        fresh = np.random.default_rng(7)
+        fresh.standard_normal((20, 2, 2))
+        assert used.bit_generator.state == fresh.bit_generator.state
+        # reference: one least-squares solve per sample, drawn one by one
+        ref = np.random.default_rng(7)
+        comp = nx.kernel_basis(nx.row_space_basis(basis).conj())
+        worst = 0.0
+        for _ in range(20):
+            psi = comp.T @ (ref.standard_normal(2) + 1j * ref.standard_normal(2))
+            _, res = nx.solve_columns(rep_matrix(psi / np.linalg.norm(psi)),
+                                      cl.spinor_to_real(basis).T)
+            worst = max(worst, res)
+        assert abs(result.max_spanning_residual - worst) <= 1e-12
 
 
 def test_admissible_space_rejects_random_plane(rng):
