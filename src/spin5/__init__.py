@@ -6,8 +6,11 @@ inside it: their canonical frames, annihilating su(2) algebras,
 quaternionic structures, Hopf parametrization, behaviour under the spin
 group, and the pointwise decomposition of spinor derivative data into
 torsion components.  Every documented identity is also available as a
-runnable check through :func:`run_checks` or ``spin5 verify-all``.
+runnable check through :func:`run_checks` or ``spin5 verify-all``; that
+registry (``spin5.verify``) is imported on first use, not with the package.
 """
+
+import importlib
 
 from .clifford import (DIM_SPINOR, DIM_TWO_FORMS, DIM_V, KForm, form_action,
                        gamma, hermitian, inner, interior_product,
@@ -44,9 +47,18 @@ from .torsion import (IntrinsicTorsion, NablaDatum, OmegaDecomposition,
                       reconstruct, rotate_spinor_datum,
                       rotation_from_quaternion, split_endomorphism,
                       transform_beta, validate_nabla)
-from .verify import CheckResult, VerificationReport, check_ids, run_checks
 
 __version__ = "0.1.0"
+
+_REGISTRY_NAMES = ("CheckResult", "VerificationReport", "check_ids", "run_checks")
+
+
+def __getattr__(name: str):
+    """Load the registry module when one of its names is first asked for."""
+    if name == "verify" or name in _REGISTRY_NAMES:
+        registry = importlib.import_module(".verify", __name__)
+        return registry if name == "verify" else getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdmissibilityResult", "AdmissibleSpace", "AntilinearOp",

@@ -11,7 +11,8 @@ Four subcommands:
 Payloads are JSON objects, read from --file or stdin.  Exit codes: 0 on
 success, 1 when verification reports failures, 2 for malformed input
 (unparseable JSON, wrong shapes, degenerate bases), 3 when a structural
-precondition fails (non-unit spinors, inadmissible planes).  The default
+precondition fails (non-unit spinors, inadmissible planes) or a numerical
+routine breaks down (a LinAlgError, reported in one line).  The default
 tolerance comes from the SPIN5_EPS environment variable when set.
 """
 
@@ -33,7 +34,6 @@ from . import torsion as ts
 from .errors import (DegenerateSubspace, InputError, NonUnitSpinor,
                      Spin5Error)
 from .numerics import EPS_DEFAULT
-from .verify import run_checks
 
 
 def _resolve_eps(flag: float | None) -> float:
@@ -227,6 +227,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    from .verify import run_checks   # the registry loads only for this command
     report = run_checks(eps=args.eps, seed=args.seed, samples=args.samples)
     if args.json:
         sys.stdout.write(jsonio.dumps(report.to_json_dict()))
@@ -305,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except Spin5Error as exc:
         print(f"spin5: {exc}", file=sys.stderr)
+        return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"spin5: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

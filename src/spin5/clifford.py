@@ -20,8 +20,9 @@ float arithmetic because every entry of the generators is 0, 1, -1, i or -i.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -31,7 +32,8 @@ I = 1j
 
 # Generators of Cl(5) on C^4.  Kept as a module-level table so that the
 # self-test suite can substitute a deliberately broken table and confirm
-# that verification fails loudly.
+# that verification fails loudly.  The arrays are read-only: a table is
+# changed by rebinding _GAMMA, which is what the per-table caches key on.
 _GAMMA = (
     np.array([[0, 0, 0, I], [0, 0, I, 0], [0, I, 0, 0], [I, 0, 0, 0]], dtype=complex),
     np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=complex),
@@ -39,6 +41,9 @@ _GAMMA = (
     np.array([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]], dtype=complex),
     np.array([[I, 0, 0, 0], [0, I, 0, 0], [0, 0, -I, 0], [0, 0, 0, -I]], dtype=complex),
 )
+for _g in _GAMMA:
+    _g.flags.writeable = False
+del _g
 
 #: Index pairs of the standard two-form basis, lexicographic.
 TWO_FORM_PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5),
@@ -48,6 +53,46 @@ TWO_FORM_PAIRS = ((1, 2), (1, 3), (1, 4), (1, 5),
 DIM_V = 5
 DIM_SPINOR = 4
 DIM_TWO_FORMS = len(TWO_FORM_PAIRS)
+
+_T = TypeVar("_T")
+
+
+def _per_table(build: Callable[[tuple], _T]) -> Callable[[], _T]:
+    """Cache build(table) for the generator table currently bound to _GAMMA.
+
+    The cache entry holds the table object itself, so an identity test
+    cannot confuse it with a later table, and is replaced in one assignment
+    when _GAMMA is rebound: a substituted table is seen at once and the
+    original one again after it is restored.
+    """
+    entry: list = [(None, None)]
+
+    @functools.wraps(build)
+    def cached() -> _T:
+        table, value = entry[0]
+        if table is not _GAMMA:
+            table = _GAMMA
+            value = build(table)
+            entry[0] = (table, value)
+        return value
+
+    return cached
+
+
+@_per_table
+def _gamma_stacks(table: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (5, 4, 4) generator stack and (10, 4, 4) gamma(i) gamma(j) stack."""
+    gammas = np.stack(table)
+    products = np.stack([table[i - 1] @ table[j - 1] for i, j in TWO_FORM_PAIRS])
+    gammas.flags.writeable = False
+    products.flags.writeable = False
+    return gammas, products
+
+
+def _apply_stack(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] stack[k] as one flat matmul; shape (..., 4, 4)."""
+    flat = coeffs @ stack.reshape(len(stack), DIM_SPINOR * DIM_SPINOR)
+    return flat.reshape(coeffs.shape[:-1] + (DIM_SPINOR, DIM_SPINOR))
 
 
 def gamma(i: int) -> np.ndarray:
@@ -76,7 +121,7 @@ def vector_matrix(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != DIM_V:
         raise InputError(f"vector must have shape (..., 5), got {x.shape}")
-    return np.tensordot(x, np.stack(_GAMMA), axes=1)
+    return _apply_stack(x, _gamma_stacks()[0])
 
 
 def vector_action(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -149,8 +194,8 @@ def wedge_vectors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def two_form_gamma_products() -> np.ndarray:
-    """Stack of the 10 products gamma(i) @ gamma(j), lexicographic pairs."""
-    return np.stack([_GAMMA[i - 1] @ _GAMMA[j - 1] for i, j in TWO_FORM_PAIRS])
+    """Read-only stack of the 10 products gamma(i) @ gamma(j), lexicographic pairs."""
+    return _gamma_stacks()[1]
 
 
 def two_form_matrix_rep(w: np.ndarray) -> np.ndarray:
@@ -158,7 +203,7 @@ def two_form_matrix_rep(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim == 0 or w.shape[-1] != DIM_TWO_FORMS:
         raise InputError(f"two-form must have shape (..., 10), got {w.shape}")
-    return np.tensordot(w, two_form_gamma_products(), axes=1)
+    return _apply_stack(w, _gamma_stacks()[1])
 
 
 def interior_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -28,19 +28,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from .su2 import AdmissibleSpace
 
 
+@cl._per_table
+def _conjugation_law(gammas: tuple) -> tuple[np.ndarray, float]:
+    """C = gamma(2) gamma(4), read-only, and its worst law residual."""
+    c = gammas[1] @ gammas[3]
+    laws = [c @ g.conj() + g @ c for g in gammas]
+    worst = max(float(np.linalg.norm(m)) for m in laws + [c @ c.conj() + np.eye(4)])
+    c.flags.writeable = False
+    return c, worst
+
+
 def charge_conjugation(eps: float = nx.EPS_DEFAULT) -> np.ndarray:
-    """The antilinear structure of Delta as a matrix C, acting by C conj(.).
+    """The antilinear structure of Delta as a read-only matrix C, acting by C conj(.).
 
     C is the closed form gamma(2) gamma(4), checked against the laws that
     define it: C conj(g_k) = -g_k C for all five generators and
-    C conj(C) = -Id, each within sqrt(eps).  Registry check 20 derives the
-    solution space of the anticommutation laws and confirms that it is one
-    complex dimension spanned by C.
+    C conj(C) = -Id, each within sqrt(eps).  C and its residual are computed
+    once per generator table; the check runs on every call.  Registry
+    check 20 derives the solution space of the anticommutation laws and
+    confirms that it is one complex dimension spanned by C.
     """
-    c = cl.gamma(2) @ cl.gamma(4)
-    laws = [c @ cl.gamma(k).conj() + cl.gamma(k) @ c for k in range(1, 6)]
-    worst = max(float(np.linalg.norm(m)) for m in laws + [c @ c.conj() + np.eye(4)])
-    if worst > np.sqrt(eps):
+    c, worst = _conjugation_law()
+    if not worst <= np.sqrt(eps):
         raise DerivationFailure(
             f"gamma(2) gamma(4) breaks the conjugation laws by {worst:.3e}")
     return c
@@ -122,7 +131,7 @@ def complex_structure(phi: np.ndarray, space: "AdmissibleSpace",
     images = cl.vector_matrix(space.d_basis) @ _complement_spinor(phi, space, eps)
     j, res = nx.project_columns(cl.spinor_to_real(images).T,
                                 cl.spinor_to_real(1j * images).T)
-    if res > np.sqrt(eps):
+    if not res <= np.sqrt(eps):
         raise NumericalRankFailure(
             f"defining system unsolvable, residual {res:.3e}")
     return j
@@ -174,7 +183,7 @@ def induced_map(t: np.ndarray, phi: np.ndarray, space: "AdmissibleSpace",
     w = (coords[:, 0::2] + 1j * coords[:, 1::2]) @ space.v_basis
     out, res = nx.project_columns(cl.spinor_to_real(images).T,
                                   cl.spinor_to_real(w).T)
-    if res > np.sqrt(eps):
+    if not res <= np.sqrt(eps):
         raise NumericalRankFailure(
             f"induced endomorphism undefined, residual {res:.3e}")
     return out

@@ -16,7 +16,8 @@ import numpy as np
 from . import clifford as cl
 from . import numerics as nx
 from . import quaternionic as qt
-from .errors import DegenerateSubspace, KernelDimensionError, NotAdmissible
+from .errors import (DegenerateSubspace, InputError, KernelDimensionError,
+                     NotAdmissible)
 from .frames import build_frame, distribution_basis, rep_matrix, reeb_vector
 
 
@@ -55,8 +56,10 @@ def is_admissible(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
 
     Runs both characterizations and reports them separately; the verdict
     requires both.  The spanning test draws `samples` random unit spinors
-    from the orthogonal complement.
+    from the orthogonal complement, so at least one is required.
     """
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     if rng is None:
         rng = np.random.default_rng(0)
     basis = nx.row_space_basis(np.atleast_2d(np.asarray(v_basis, dtype=complex)), eps)

@@ -44,7 +44,7 @@ def validate_nabla(nabla: NablaDatum, eps: float = nx.EPS_DEFAULT) -> None:
         raise InputError(f"derivatives must have shape (5, 4), got {derivs.shape}")
     for i, d in enumerate(derivs):
         r = cl.inner(d, phi)
-        if abs(r) > eps * max(1.0, float(np.linalg.norm(d))):
+        if not abs(r) <= eps * max(1.0, float(np.linalg.norm(d))):
             raise NonOrthogonalDerivative(
                 f"derivative {i + 1} has radial component {r:.3e}")
 
@@ -122,8 +122,8 @@ def split_endomorphism(s_d: np.ndarray, js: np.ndarray,
 
 def _require_solved(residual: float, target: np.ndarray, eps: float,
                     what: str) -> None:
-    """Raise DerivationFailure unless a solve reproduced its target."""
-    if residual > np.sqrt(eps) * max(1.0, float(np.abs(target).max())):
+    """Raise DerivationFailure unless a solve reproduced its target; NaN fails."""
+    if not residual <= np.sqrt(eps) * max(1.0, float(np.abs(target).max())):
         raise DerivationFailure(f"{what} residual {residual:.3e}")
 
 

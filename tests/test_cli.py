@@ -1,12 +1,17 @@
+import contextlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spin5 as sp
 import spin5.clifford as cl
 from spin5 import cli, jsonio
+from spin5 import su2 as su
 
 ANALYZE_KEYS = {"spinor", "y", "d_basis", "v_basis", "phi_tilde",
                 "su2_basis", "j_matrix", "hopf"}
@@ -355,3 +360,77 @@ def test_analyze_normalize_rejects_norm_below_sqrt_eps(monkeypatch, capsys):
                        spinor_payload(1e-6 * cl.standard_spinor(1)))
     assert code == 3
     assert "cannot normalize" in err
+
+
+def test_stray_linalg_error_exits_3(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(su, "space_of_spinor", diverge)
+    code, out, err = run(monkeypatch, capsys, ["analyze-spinor", "--json"],
+                         spinor_payload(cl.standard_spinor(1)))
+    assert code == 3
+    assert out == ""
+    assert err == "spin5: numerical failure: SVD did not converge\n"
+
+
+# Numbers that reach every branch: valid unit entries, non-unit, non-finite,
+# huge and integer values.  Each field may also keep a valid value, so that
+# payloads that are right but for one field get through to the numerics.
+NUMBERS = (st.sampled_from([0, 1, -1, 0.5, 0.6, 0.8, 1e300])
+           | st.floats() | st.integers(-10**6, 10**6))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+S = [jsonio.encode_spinor(cl.standard_spinor(k)) for k in range(1, 5)]
+ZERO = jsonio.encode_spinor(np.zeros(4))
+
+
+def spinor_like(valid):
+    pair = st.lists(NUMBERS, min_size=2, max_size=2)
+    return (st.just(valid) | st.sampled_from(S)
+            | st.lists(pair, min_size=4, max_size=4) | JSON_VALUES)
+
+
+def spinor_list_like(valid):
+    return (st.just(valid)
+            | st.lists(spinor_like(valid[0]), min_size=len(valid),
+                       max_size=len(valid))
+            | JSON_VALUES)
+
+
+PAYLOADS = {
+    "analyze-spinor": st.fixed_dictionaries({"spinor": spinor_like(S[0])}),
+    "check-admissible": st.fixed_dictionaries(
+        {"basis": spinor_list_like([S[2], S[3]])}),
+    "decompose-torsion": st.fixed_dictionaries({
+        "phi": spinor_like(S[0]), "derivatives": spinor_list_like([ZERO] * 5),
+        "v_basis": spinor_list_like([S[2], S[3]])}),
+}
+
+
+def run_isolated(argv, text):
+    """cli.main on a stdin text, outside pytest's capture fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOADS))
+def test_fuzzed_payloads_keep_the_exit_contract(command):
+    @settings(max_examples=60, deadline=None)
+    @given(payload=PAYLOADS[command] | JSON_VALUES,
+           normalize=st.booleans())
+    def check(payload, normalize):
+        argv = [command, "--json"]
+        if normalize and command == "analyze-spinor":
+            argv.append("--normalize")
+        code, err = run_isolated(argv, json.dumps(payload))
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    check()

@@ -80,6 +80,16 @@ def test_is_admissible_draws_one_batch(fundamental_space, rng):
         assert abs(result.max_spanning_residual - worst) <= 1e-12
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_is_admissible_rejects_samples_below_one(rng, samples):
+    # with no draws a random plane would pass the spanning test vacuously
+    rows = nx.orthonormalize_rows(
+        rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)),
+        require=2)
+    with pytest.raises(sp.InputError, match="samples"):
+        sp.is_admissible(rows, samples=samples)
+
+
 def test_admissible_space_rejects_random_plane(rng):
     rows = nx.orthonormalize_rows(
         rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)),

@@ -4,6 +4,7 @@ import pytest
 import spin5 as sp
 import spin5.clifford as cl
 import spin5.numerics as nx
+import spin5.torsion as ts
 
 
 def test_quaternion_product_table():
@@ -54,6 +55,21 @@ def test_validate_nabla_radial(fundamental_space):
     derivs[0] = 0.3 * phi   # radial component: not norm-preserving
     with pytest.raises(sp.NonOrthogonalDerivative):
         sp.validate_nabla(sp.NablaDatum(phi=phi, derivatives=derivs))
+
+
+@pytest.mark.parametrize("solve", [sp.decompose, sp.omega_decompose,
+                                   sp.intrinsic_torsion])
+def test_nan_derivative_is_rejected(fundamental_space, rng, solve):
+    nabla = sp.random_nabla(fundamental_space, rng)
+    derivs = nabla.derivatives.copy()
+    derivs[0, 0] = np.nan
+    with pytest.raises(sp.Spin5Error):
+        solve(sp.NablaDatum(phi=nabla.phi, derivatives=derivs), fundamental_space)
+
+
+def test_nan_residual_fails_the_solve_guard():
+    with pytest.raises(sp.DerivationFailure):
+        ts._require_solved(float("nan"), np.zeros(4), 1e-9, "split")
 
 
 def test_decompose_zero_gives_zero(fundamental_space):
