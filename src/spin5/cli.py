@@ -19,7 +19,6 @@ tolerance comes from the SPIN5_EPS environment variable when set.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -33,7 +32,7 @@ from . import su2 as su
 from . import torsion as ts
 from .errors import (DegenerateSubspace, InputError, NonUnitSpinor,
                      Spin5Error)
-from .numerics import EPS_DEFAULT
+from .numerics import EPS_DEFAULT, scale_safe_norm
 
 
 def _resolve_eps(flag: float | None) -> float:
@@ -80,7 +79,7 @@ def _fmt_spinor(phi: np.ndarray) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     payload = _read_payload(args)
     phi = jsonio.parse_spinor(jsonio.get_field(payload, "spinor"))
-    norm = math.hypot(*np.abs(phi))   # scale-safe: entries of 1e200 do not overflow
+    norm = scale_safe_norm(phi)   # entries of 1e200 do not overflow
     if args.normalize:
         if norm < np.sqrt(args.eps):
             raise NonUnitSpinor(f"cannot normalize a spinor of norm {norm:.3e}")

@@ -20,6 +20,7 @@ float arithmetic because every entry of the generators is 0, 1, -1, i or -i.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar
@@ -57,13 +58,26 @@ DIM_TWO_FORMS = len(TWO_FORM_PAIRS)
 _T = TypeVar("_T")
 
 
+def _read_only(value: _T) -> _T:
+    """Mark every array in value, through tuples and dataclass fields, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _read_only(getattr(value, field.name))
+    return value
+
+
 def _per_table(build: Callable[[tuple], _T]) -> Callable[[], _T]:
     """Cache build(table) for the generator table currently bound to _GAMMA.
 
     The cache entry holds the table object itself, so an identity test
     cannot confuse it with a later table, and is replaced in one assignment
     when _GAMMA is rebound: a substituted table is seen at once and the
-    original one again after it is restored.
+    original one again after it is restored.  The cached value is read-only.
     """
     entry: list = [(None, None)]
 
@@ -72,8 +86,32 @@ def _per_table(build: Callable[[tuple], _T]) -> Callable[[], _T]:
         table, value = entry[0]
         if table is not _GAMMA:
             table = _GAMMA
-            value = build(table)
+            value = _read_only(build(table))
             entry[0] = (table, value)
+        return value
+
+    return cached
+
+
+def _per_space(build: Callable[..., _T]) -> Callable[..., _T]:
+    """Cache build(space, eps) on the space, per eps and generator table.
+
+    The spaces are frozen and unhashable, so each one keeps its entries in
+    its own instance __dict__, keyed on (build, eps): eps sets the rank
+    cutoffs and residual guards of the derivation.  As in _per_table an
+    entry holds the table it was built with and is replaced in one
+    assignment when _GAMMA is rebound.  The cached value is read-only.
+    """
+    (default_eps,) = build.__defaults__
+
+    @functools.wraps(build)
+    def cached(space, eps: float = default_eps) -> _T:
+        entries = vars(space).setdefault("_per_space", {})
+        table, value = entries.get((build, eps), (None, None))
+        if table is not _GAMMA:
+            table = _GAMMA
+            value = _read_only(build(space, eps))
+            entries[build, eps] = (table, value)
         return value
 
     return cached
@@ -81,11 +119,9 @@ def _per_table(build: Callable[[tuple], _T]) -> Callable[[], _T]:
 
 @_per_table
 def _gamma_stacks(table: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (5, 4, 4) generator stack and (10, 4, 4) gamma(i) gamma(j) stack."""
+    """The (5, 4, 4) generator stack and (10, 4, 4) gamma(i) gamma(j) stack."""
     gammas = np.stack(table)
     products = np.stack([table[i - 1] @ table[j - 1] for i, j in TWO_FORM_PAIRS])
-    gammas.flags.writeable = False
-    products.flags.writeable = False
     return gammas, products
 
 

@@ -34,7 +34,7 @@ def rep_matrix(phi: np.ndarray) -> np.ndarray:
 def reeb_vector(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     """The unique unit vector y with y . phi = i*phi."""
     phi = np.asarray(phi, dtype=complex)
-    nx.require_unit(np.linalg.norm(phi), eps, NonUnitSpinor, "spinor norm")
+    nx.require_unit(nx.scale_safe_norm(phi), eps, NonUnitSpinor, "spinor norm")
     r = rep_matrix(phi)
     if nx.numerical_rank(r, eps) != 5:
         raise NumericalRankFailure("representation matrix is rank deficient")

@@ -6,6 +6,8 @@ vectors.  Everything works for both real and complex dtypes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateSubspace
@@ -76,7 +78,12 @@ def project_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
 def require_unit(value: float, eps: float, error: type[Exception], what: str) -> None:
     """Raise error unless |value - 1| <= eps; NaN fails the test."""
     if not abs(value - 1.0) <= eps:
-        raise error(f"{what} is {value!r}, expected 1")
+        raise error(f"{what} is {value:.3e}, expected 1")
+
+
+def scale_safe_norm(v: np.ndarray) -> float:
+    """Euclidean norm that neither overflows nor underflows on huge or tiny entries."""
+    return math.hypot(*np.abs(np.ravel(v)))
 
 
 def projector(basis: np.ndarray) -> np.ndarray:

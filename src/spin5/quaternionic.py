@@ -30,11 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @cl._per_table
 def _conjugation_law(gammas: tuple) -> tuple[np.ndarray, float]:
-    """C = gamma(2) gamma(4), read-only, and its worst law residual."""
+    """C = gamma(2) gamma(4) and its worst law residual."""
     c = gammas[1] @ gammas[3]
     laws = [c @ g.conj() + g @ c for g in gammas]
     worst = max(float(np.linalg.norm(m)) for m in laws + [c @ c.conj() + np.eye(4)])
-    c.flags.writeable = False
     return c, worst
 
 
@@ -55,12 +54,20 @@ def charge_conjugation(eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     return c
 
 
+@cl._per_space
+def _complement_projector(space: "AdmissibleSpace",
+                          eps: float = nx.EPS_DEFAULT) -> np.ndarray:
+    """Orthogonal projector onto V-perp, as nx.distance_to_row_span builds it."""
+    return nx.projector(nx.row_space_basis(space.vperp_basis, eps))
+
+
 def _complement_spinor(phi: np.ndarray, space: "AdmissibleSpace",
                        eps: float) -> np.ndarray:
     """phi as a complex array, required to be a unit spinor in V-perp."""
     phi = np.asarray(phi, dtype=complex)
-    nx.require_unit(np.linalg.norm(phi), eps, NonUnitSpinor, "spinor norm")
-    if nx.distance_to_row_span(phi, space.vperp_basis, eps) > np.sqrt(eps):
+    nx.require_unit(nx.scale_safe_norm(phi), eps, NonUnitSpinor, "spinor norm")
+    off = float(np.linalg.norm(phi - _complement_projector(space, eps) @ phi))
+    if off > np.sqrt(eps):
         raise InputError("spinor must lie in the plane's complement")
     return phi
 
@@ -107,13 +114,15 @@ def global_triple(eps: float = nx.EPS_DEFAULT) -> StructureTriple:
     return StructureTriple(k1, k2, k1.compose(k2))
 
 
+@cl._per_space
 def adapted_triple(space: "AdmissibleSpace",
                    eps: float = nx.EPS_DEFAULT) -> StructureTriple:
     """Triple adapted to an admissible plane.
 
     The antilinear structure acts with opposite signs on the plane and on
     its complement; with that flip the whole triple commutes with Clifford
-    multiplication by vectors tangent to the distribution.
+    multiplication by vectors tangent to the distribution.  Computed once
+    per space, eps and generator table; the matrices are read-only.
     """
     c = charge_conjugation(eps)
     q = nx.projector(space.v_basis) - nx.projector(space.vperp_basis)
@@ -204,6 +213,7 @@ def _two_form_on_distribution(j: np.ndarray, d_basis: np.ndarray) -> np.ndarray:
     return cl.matrix_to_two_form(m)
 
 
+@cl._per_space
 def triple_on_distribution(space: "AdmissibleSpace",
                            eps: float = nx.EPS_DEFAULT) -> DistributionTriple:
     """Quaternionic triple of complex structures on the distribution.
@@ -211,6 +221,8 @@ def triple_on_distribution(space: "AdmissibleSpace",
     The defining spinors are built from the canonical complement basis
     (psi1, psi2) as psi1, (psi1 + i psi2)/sqrt(2) and (psi1 - psi2)/sqrt(2);
     their structures anticommute pairwise and multiply like quaternions.
+    Computed once per space, eps and generator table; the arrays are
+    read-only.
     """
     psi1, psi2 = space.vperp_basis
     phis = np.array([psi1,

@@ -43,7 +43,7 @@ def spin_element(word: Sequence[np.ndarray],
         raise OddWord(f"word length {len(vectors)} is odd")
     m = np.eye(4, dtype=complex)
     for v in vectors:
-        nx.require_unit(np.linalg.norm(v), eps, NonUnitGenerator, "generator norm")
+        nx.require_unit(nx.scale_safe_norm(v), eps, NonUnitGenerator, "generator norm")
         m = m @ cl.vector_matrix(v)
     stacked = (np.array(vectors) if vectors
                else np.zeros((0, 5)))

@@ -9,7 +9,7 @@ two commuting su(2) algebras plus a 4-dimensional complement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,6 +95,13 @@ class AdmissibleSpace:
     y: np.ndarray              # common Reeb vector of the complement spinors
     d_basis: np.ndarray        # (4, 5) orthonormal rows spanning D
 
+    def __post_init__(self) -> None:
+        # Read-only copies: the per-space caches can then never go stale.
+        for field in fields(self):
+            value = np.array(getattr(self, field.name))
+            value.flags.writeable = False
+            object.__setattr__(self, field.name, value)
+
 
 def admissible_space(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
                      samples: int = 20,
@@ -137,8 +144,12 @@ class So5Splitting:
         return np.vstack([self.su2_minus, self.su2_plus, self.r4])
 
 
+@cl._per_space
 def so5_splitting(space: AdmissibleSpace, eps: float = nx.EPS_DEFAULT) -> So5Splitting:
-    """Decompose the 10 two-forms into su(2)- + su(2)+ + D wedge y."""
+    """Decompose the 10 two-forms into su(2)- + su(2)+ + D wedge y.
+
+    Computed once per space, eps and generator table; the arrays are read-only.
+    """
     su2_minus = annihilator(space.vperp_basis[0], eps)
     su2_plus = annihilator(space.v_basis[0], eps)
     r4 = np.array([cl.wedge_vectors(b, space.y) for b in space.d_basis])

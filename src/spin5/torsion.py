@@ -38,7 +38,7 @@ class NablaDatum:
 
 def validate_nabla(nabla: NablaDatum, eps: float = nx.EPS_DEFAULT) -> None:
     phi = np.asarray(nabla.phi, dtype=complex)
-    nx.require_unit(np.linalg.norm(phi), eps, NonUnitSpinor, "base spinor norm")
+    nx.require_unit(nx.scale_safe_norm(phi), eps, NonUnitSpinor, "base spinor norm")
     derivs = np.asarray(nabla.derivatives, dtype=complex)
     if derivs.shape != (5, 4):
         raise InputError(f"derivatives must have shape (5, 4), got {derivs.shape}")

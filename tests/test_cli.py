@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -360,6 +364,26 @@ def test_analyze_normalize_rejects_norm_below_sqrt_eps(monkeypatch, capsys):
                        spinor_payload(1e-6 * cl.standard_spinor(1)))
     assert code == 3
     assert "cannot normalize" in err
+
+
+def test_decompose_huge_phi_entry_fails_cleanly(tmp_path):
+    """A 1e300 entry is a non-unit spinor: exit 3 with one line, no warning."""
+    payload = {"phi": [[1e300, 0.0], [0, 0], [0, 0], [0, 0]],
+               "derivatives": [ZERO] * 5, "v_basis": [S[2], S[3]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "SPIN5_EPS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spin5.cli", "decompose-torsion", "--json",
+         "--file", str(path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("spin5: base spinor norm is 1.000e+300, "
+                           "expected 1\n")
 
 
 def test_stray_linalg_error_exits_3(monkeypatch, capsys):
