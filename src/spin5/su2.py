@@ -98,9 +98,8 @@ class AdmissibleSpace:
     def __post_init__(self) -> None:
         # Read-only copies: the per-space caches can then never go stale.
         for field in fields(self):
-            value = np.array(getattr(self, field.name))
-            value.flags.writeable = False
-            object.__setattr__(self, field.name, value)
+            copy = cl._read_only(np.array(getattr(self, field.name)))
+            object.__setattr__(self, field.name, copy)
 
 
 def admissible_space(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
