@@ -32,7 +32,7 @@ from . import su2 as su
 from . import torsion as ts
 from .errors import (DegenerateSubspace, InputError, NonUnitSpinor,
                      Spin5Error)
-from .numerics import EPS_DEFAULT, scale_safe_norm
+from .numerics import EPS_DEFAULT, require_unit, scale_safe_norm
 
 
 def _resolve_eps(flag: float | None) -> float:
@@ -84,9 +84,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if norm < np.sqrt(args.eps):
             raise NonUnitSpinor(f"cannot normalize a spinor of norm {norm:.3e}")
         phi = phi / norm
-    elif abs(norm - 1.0) > args.eps:
-        raise NonUnitSpinor(
-            f"spinor has norm {norm!r}; pass --normalize to rescale")
+    else:
+        try:
+            require_unit(norm, args.eps, NonUnitSpinor, "spinor norm")
+        except NonUnitSpinor as exc:
+            raise NonUnitSpinor(f"{exc}; pass --normalize to rescale") from None
 
     space = su.space_of_spinor(phi, args.eps)
     splitting = su.so5_splitting(space, args.eps)

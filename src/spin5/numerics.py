@@ -71,7 +71,8 @@ def project_columns(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     a, b = np.asarray(a), np.asarray(b)
     col = b[..., None] if b.ndim == 1 else b
     x = (np.swapaxes(a, -1, -2) @ col) / np.sum(a * a, axis=-2)[..., None]
-    res = float(np.linalg.norm(a @ x - col, axis=-2).max(initial=0.0))
+    with np.errstate(over="ignore"):   # an overflow is an inf residual, which fails
+        res = float(np.linalg.norm(a @ x - col, axis=-2).max(initial=0.0))
     return (x[..., 0] if b.ndim == 1 else x), res
 
 

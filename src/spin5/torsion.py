@@ -44,7 +44,7 @@ def validate_nabla(nabla: NablaDatum, eps: float = nx.EPS_DEFAULT) -> None:
         raise InputError(f"derivatives must have shape (5, 4), got {derivs.shape}")
     for i, d in enumerate(derivs):
         r = cl.inner(d, phi)
-        if not abs(r) <= eps * max(1.0, float(np.linalg.norm(d))):
+        if not abs(r) <= eps * max(1.0, nx.scale_safe_norm(d)):
             raise NonOrthogonalDerivative(
                 f"derivative {i + 1} has radial component {r:.3e}")
 

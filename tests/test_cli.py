@@ -366,24 +366,51 @@ def test_analyze_normalize_rejects_norm_below_sqrt_eps(monkeypatch, capsys):
     assert "cannot normalize" in err
 
 
-def test_decompose_huge_phi_entry_fails_cleanly(tmp_path):
-    """A 1e300 entry is a non-unit spinor: exit 3 with one line, no warning."""
-    payload = {"phi": [[1e300, 0.0], [0, 0], [0, 0], [0, 0]],
-               "derivatives": [ZERO] * 5, "v_basis": [S[2], S[3]]}
+def decompose_in_subprocess(tmp_path, payload):
+    """spin5 decompose-torsion --json in a fresh process, so warnings show."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(payload))
     src = Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "SPIN5_EPS"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "spin5.cli", "decompose-torsion", "--json",
          "--file", str(path)],
         capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_decompose_huge_phi_entry_fails_cleanly(tmp_path):
+    """A 1e300 entry is a non-unit spinor: exit 3 with one line, no warning."""
+    payload = {"phi": [[1e300, 0.0], [0, 0], [0, 0], [0, 0]],
+               "derivatives": [ZERO] * 5, "v_basis": [S[2], S[3]]}
+    proc = decompose_in_subprocess(tmp_path, payload)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == ("spin5: base spinor norm is 1.000e+300, "
                            "expected 1\n")
+
+
+@pytest.mark.parametrize("entry, code", [(1e160, 0), (1e300, 3)])
+def test_decompose_huge_derivative_entry_warns_nothing(tmp_path, entry, code):
+    """Overflowing norms of a derivative neither warn nor slip past a guard.
+
+    1e160 squares past the float range but is a valid datum; at 1e300 the
+    solve residual itself overflows to inf and fails its guard.
+    """
+    derivative = [[0.0, 0.0], [entry, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    payload = {"phi": S[0], "derivatives": [ZERO, derivative, ZERO, ZERO, ZERO],
+               "v_basis": [S[2], S[3]]}
+    proc = decompose_in_subprocess(tmp_path, payload)
+    assert proc.returncode == code
+    assert "RuntimeWarning" not in proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        assert set(json.loads(proc.stdout)) == DECOMPOSE_KEYS
+    else:
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("spin5: ")
 
 
 def test_stray_linalg_error_exits_3(monkeypatch, capsys):

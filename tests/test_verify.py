@@ -1,10 +1,15 @@
+import contextlib
+import hashlib
 import json
+import math
+import signal
 
 import numpy as np
 import pytest
 
 import spin5.clifford as cl
-from spin5 import verify
+import spin5.numerics as nx
+from spin5 import jsonio, verify
 
 EXPECTED_NOTES = {
     "02-clifford-volume",
@@ -101,3 +106,80 @@ def test_exception_becomes_failure(monkeypatch):
     for r in crashed:
         assert r.status == "FAIL"
         assert r.detail   # carries the exception summary
+
+
+# sha256 of the "id<TAB>claim" lines of the registry; a changed id, claim or
+# order changes every stream after it, so it must be deliberate.
+REGISTRY_SHA256 = "7d31a80349df9763c03705f069f73ae65f9e27315a6025440bae72f2722102a4"
+# samples_used of checks 01..43 at samples=5
+SAMPLES_USED_AT_5 = (0, 0, 5, 2, 5, 0, 5, 2, 2, 1, 2, 2, 2, 2, 1, 4, 1, 1, 1, 1, 1,
+                     1, 2, 5, 1, 5, 2, 1, 1, 2, 2, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 3)
+
+
+def test_registry_ids_and_claims_are_pinned():
+    lines = "\n".join(f"{i}\t{claim}" for i, claim, _ in verify.REGISTRY)
+    assert hashlib.sha256(lines.encode()).hexdigest() == REGISTRY_SHA256
+
+
+def test_samples_used_are_pinned(healthy_report):
+    assert tuple(r.samples_used for r in healthy_report.results) == SAMPLES_USED_AT_5
+
+
+def test_run_checks_builds_contexts_through_the_module_global(monkeypatch):
+    built = []
+    context = verify.CheckContext
+
+    def record(**kwargs):   # keyword arguments only
+        built.append(kwargs)
+        return context(**kwargs)
+
+    monkeypatch.setattr(verify, "CheckContext", record)
+    verify.run_checks(eps=1e-9, seed=3, samples=1)
+    assert built == [dict(eps=1e-9, samples=1, seed=3, index=i) for i in range(43)]
+
+
+def strict_json(report):
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    return json.loads(jsonio.dumps(report.to_json_dict()), parse_constant=reject)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging; pytest.fail is no Exception, so no check eats it."""
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_nan_vector_action_fails_its_checks(monkeypatch):
+    monkeypatch.setattr(cl, "vector_action", lambda x, phi: np.full(4, np.nan + 0j))
+    report = verify.run_checks(seed=0, samples=2)
+    by_id = {r.check_id: r for r in report.results}
+    doc = {c["id"]: c for c in strict_json(report)["checks"]}
+    for check_id in ("03-clifford-vector-action", "05-clifford-contraction"):
+        assert by_id[check_id].status == "FAIL"
+        assert math.isnan(by_id[check_id].max_residual)
+        assert doc[check_id]["max_residual"] is None
+
+
+def test_nan_subspace_distance_fails_its_checks_and_ends(monkeypatch):
+    monkeypatch.setattr(nx, "subspace_distance", lambda *args, **kwargs: math.nan)
+    with time_limit(60):
+        report = verify.run_checks(seed=0, samples=2)
+    by_id = {r.check_id: r for r in report.results}
+    for check_id in ("08-frames-splitting", "13-su2-equivalence",
+                     "17-su2-splitting", "31-spin-act-admissible"):
+        assert by_id[check_id].status == "FAIL"
+    # its rejection loop never accepts a NaN distance, so it gives up
+    conjugacy = by_id["33-spin-conjugacy"]
+    assert conjugacy.status == "FAIL"
+    assert conjugacy.detail == "RuntimeError: no acceptable draw in 1000 tries"
+    strict_json(report)
