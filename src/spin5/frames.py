@@ -32,14 +32,14 @@ def rep_matrix(phi: np.ndarray) -> np.ndarray:
 
 
 def reeb_vector(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
-    """The unique unit vector y with y . phi = i*phi."""
+    """The unique unit vector y with y . phi = i*phi, in closed form."""
     phi = np.asarray(phi, dtype=complex)
-    nx.require_unit(nx.scale_safe_norm(phi), eps, NonUnitSpinor, "spinor norm")
-    r = rep_matrix(phi)
-    if nx.numerical_rank(r, eps) != 5:
-        raise NumericalRankFailure("representation matrix is rank deficient")
-    y, res = nx.solve_columns(r, cl.spinor_to_real(1j * phi))
-    if res > eps:
+    norm = nx.scale_safe_norm(phi)
+    nx.require_unit(norm, eps, NonUnitSpinor, "spinor norm")
+    images = cl.vector_matrix(np.eye(5)) @ phi   # e_k . phi: orthogonal, of norm |phi|
+    y = (images.conj() @ (1j * phi)).real / norm**2   # Re<e_k . phi, i*phi> / |phi|^2
+    res = float(np.linalg.norm(y @ images - 1j * phi))
+    if not res <= eps:   # a NaN residual fails too
         raise NumericalRankFailure(
             f"i*phi is not in the image of the vector action, residual {res:.3e}")
     return y

@@ -33,8 +33,9 @@ def _conjugation_law(gammas: tuple) -> tuple[np.ndarray, float]:
     """C = gamma(2) gamma(4) and its worst law residual."""
     c = gammas[1] @ gammas[3]
     laws = [c @ g.conj() + g @ c for g in gammas]
-    worst = max(float(np.linalg.norm(m)) for m in laws + [c @ c.conj() + np.eye(4)])
-    return c, worst
+    # np.max keeps a NaN; the builtin max drops it unless it comes first
+    worst = np.max([np.linalg.norm(m) for m in laws + [c @ c.conj() + np.eye(4)]])
+    return c, float(worst)
 
 
 def charge_conjugation(eps: float = nx.EPS_DEFAULT) -> np.ndarray:

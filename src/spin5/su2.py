@@ -18,7 +18,7 @@ from . import numerics as nx
 from . import quaternionic as qt
 from .errors import (DegenerateSubspace, InputError, KernelDimensionError,
                      NotAdmissible)
-from .frames import build_frame, distribution_basis, rep_matrix, reeb_vector
+from .frames import build_frame, rep_matrix
 
 
 def annihilator(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
@@ -105,10 +105,10 @@ class AdmissibleSpace:
 def admissible_space(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
                      samples: int = 20,
                      rng: np.random.Generator | None = None) -> AdmissibleSpace:
-    """Validate admissibility and attach the canonical frame data.
+    """Validate a supplied plane and return it as the space of a complement spinor.
 
-    The stored bases are canonical: they depend only on the plane, not on
-    the spanning set that was passed in.
+    The plane must equal V_psi within sqrt(eps) for psi its first canonical
+    complement spinor, which holds when its complement spinors share y.
     """
     result = is_admissible(v_basis, eps, samples, rng)
     if not result.verdict:
@@ -116,19 +116,18 @@ def admissible_space(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
             f"spanning residual {result.max_spanning_residual:.3e}, "
             f"conjugation residual {result.max_conjugation_residual:.3e}")
     canon = nx.canonical_complex_basis(np.atleast_2d(v_basis), 2, eps)
-    perp = nx.complex_complement(canon, eps)
-    y = reeb_vector(perp[0], eps)
-    y_other = reeb_vector(perp[1], eps)
-    if np.linalg.norm(y - y_other) > np.sqrt(eps):
+    space = space_of_spinor(nx.complex_complement(canon, eps)[0], eps)
+    if not nx.subspace_distance(space.v_basis, canon, eps) <= np.sqrt(eps):
         raise NotAdmissible("complement spinors disagree on the Reeb vector")
-    return AdmissibleSpace(v_basis=canon, vperp_basis=perp, y=y,
-                           d_basis=distribution_basis(y, eps))
+    return space
 
 
 def space_of_spinor(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> AdmissibleSpace:
-    """The admissible space V_phi of a unit spinor."""
-    frame = build_frame(phi, eps)
-    return admissible_space(frame.v_basis, eps)
+    """The admissible space V_phi of a unit spinor, read off its frame."""
+    fr = build_frame(phi, eps)
+    perp = nx.canonical_complex_basis([fr.phi, fr.phi_tilde], 2, eps)
+    return AdmissibleSpace(v_basis=fr.v_basis, vperp_basis=perp, y=fr.y,
+                           d_basis=fr.d_basis)
 
 
 @dataclass(frozen=True)

@@ -204,8 +204,8 @@ def _verdict(residual: float, tol: float, n: int, detail: str = "") -> Outcome:
 
 
 def _fundamental_space(eps: float) -> su.AdmissibleSpace:
-    basis = np.array([cl.standard_spinor(3), cl.standard_spinor(4)])
-    return su.admissible_space(basis, eps)
+    """The plane span{s_3, s_4}, which is V_phi for phi = s_1."""
+    return su.space_of_spinor(cl.standard_spinor(1), eps)
 
 
 # --- clifford --------------------------------------------------------------
@@ -332,6 +332,7 @@ def _chk_frames_reeb(ctx, rng, k) -> Sample:
     yield _norm(cl.vector_action(y, phi) - 1j * phi)
     r = rep_matrix(phi)
     yield _norm(r.T @ r - np.eye(5))
+    yield _norm(nx.solve_columns(r, cl.spinor_to_real(1j * phi))[0] - y)
     if k == 0:   # the basis spinors draw nothing, so they are measured once
         yield _norm(reeb_vector(cl.standard_spinor(1)) - cl.standard_vector(5))
         yield _norm(reeb_vector(cl.standard_spinor(3)) + cl.standard_vector(5))
@@ -360,6 +361,10 @@ def _chk_frames_splitting(ctx, rng, k) -> Sample:
     yield abs(cl.hermitian(fr.phi_tilde, phi))
     yield abs(_norm(fr.phi_tilde) - 1.0)
     yield _norm(cl.vector_action(fr.y, fr.phi_tilde) - 1j * fr.phi_tilde)
+    own = su.space_of_spinor(phi, ctx.eps)
+    supplied = su.admissible_space(fr.v_basis, ctx.eps)
+    yield nx.subspace_distance(own.vperp_basis, supplied.vperp_basis, ctx.eps)
+    yield _norm(own.y - supplied.y)
 
 
 @_sampled("09-frames-eigenvalues",

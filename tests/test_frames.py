@@ -75,3 +75,28 @@ def test_distribution_basis_spans_complement(rng):
     assert d.shape == (4, 5)
     assert np.abs(d @ y).max() <= 1e-12
     assert np.abs(d @ d.T - np.eye(4)).max() <= 1e-12
+
+
+def test_reeb_closed_form_matches_least_squares(rng):
+    from spin5.frames import rep_matrix
+    spinors = [cl.random_unit_spinor(rng) for _ in range(200)]
+    spinors += [sp.standard_spinor(i) for i in range(1, 5)]
+    for phi in spinors:
+        ref = np.linalg.lstsq(rep_matrix(phi), cl.spinor_to_real(1j * phi),
+                              rcond=None)[0]
+        assert np.abs(sp.reeb_vector(phi) - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1 + 0.9e-9, 1 - 0.9e-9])
+def test_reeb_of_nearly_unit_spinor_is_unit(rng, scale):
+    phi = scale * cl.random_unit_spinor(rng)
+    assert abs(np.linalg.norm(sp.reeb_vector(phi)) - 1.0) <= 1e-15
+
+
+def test_reeb_rejects_nan_generator_table(monkeypatch):
+    bad = list(cl._GAMMA)
+    bad[4] = bad[4].copy()
+    bad[4][0, 0] = np.nan
+    monkeypatch.setattr(cl, "_GAMMA", tuple(bad))
+    with pytest.raises(sp.NumericalRankFailure):
+        sp.reeb_vector(sp.standard_spinor(1))

@@ -32,6 +32,15 @@ def test_charge_conjugation_rejects_tampered_generators(monkeypatch):
         sp.charge_conjugation()
 
 
+def test_charge_conjugation_rejects_nan_generator(monkeypatch):
+    bad = list(cl._GAMMA)
+    bad[4] = bad[4].copy()
+    bad[4][0, 0] = np.nan
+    monkeypatch.setattr(cl, "_GAMMA", tuple(bad))
+    with pytest.raises(sp.DerivationFailure):
+        sp.charge_conjugation()
+
+
 def test_global_triple_quaternion_relations(rng):
     triple = sp.global_triple()
     ops = triple.ops()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,8 @@ def test_space_of_spinor_contains_complement(rng):
     phi = cl.random_unit_spinor(rng)
     space = sp.space_of_spinor(phi)
     assert nx.distance_to_row_span(phi, space.vperp_basis) <= 1e-9
+    phi_tilde = sp.build_frame(phi).phi_tilde
+    assert nx.distance_to_row_span(phi_tilde, space.vperp_basis) <= 1e-9
     result = sp.is_admissible(space.v_basis)
     assert result.verdict
 
@@ -170,3 +174,42 @@ def test_random_admissible_space_is_admissible(rng):
         space = sp.random_admissible_space(rng)
         assert sp.is_admissible(space.v_basis).verdict
         assert abs(np.linalg.norm(space.y) - 1.0) <= 1e-9
+
+
+def _tie_spinors():
+    """Unit spinors whose Reeb vector is a distribution_basis tie.
+
+    For each of the 40 vectors (+-e_a +- e_b)/sqrt(2), the columns of norm
+    at least 0.5 of the +i eigenprojector (I - i y.)/2 are normalized.
+    """
+    out = []
+    for a, b in itertools.combinations(range(5), 2):
+        for sa, sb in itertools.product((1.0, -1.0), repeat=2):
+            y = np.zeros(5)
+            y[a], y[b] = sa / np.sqrt(2), sb / np.sqrt(2)
+            for col in ((np.eye(4) - 1j * cl.vector_matrix(y)) / 2).T:
+                if np.linalg.norm(col) >= 0.5:
+                    out.append(col / np.linalg.norm(col))
+    return out
+
+
+def test_space_of_spinor_keeps_the_frame_chart_at_ties():
+    spinors = _tie_spinors()
+    assert len(spinors) == 128
+    for phi in spinors:
+        fr = sp.build_frame(phi)
+        space = sp.space_of_spinor(phi)
+        assert np.array_equal(space.y, fr.y)
+        assert np.array_equal(space.d_basis, fr.d_basis)
+        assert np.array_equal(space.v_basis, fr.v_basis)
+
+
+def test_admissible_space_matches_space_of_complement_spinor(rng):
+    for _ in range(10):
+        own = sp.space_of_spinor(cl.random_unit_spinor(rng))
+        mixed = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        supplied = sp.admissible_space(mixed @ own.v_basis)
+        for a, b in ((own.v_basis, supplied.v_basis),
+                     (own.vperp_basis, supplied.vperp_basis)):
+            assert np.abs(nx.projector(a) - nx.projector(b)).max() <= 1e-13
+        assert np.abs(own.y - supplied.y).max() <= 1e-13
