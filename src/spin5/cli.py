@@ -32,6 +32,7 @@ from . import su2 as su
 from . import torsion as ts
 from .errors import (DegenerateSubspace, InputError, NonUnitSpinor,
                      Spin5Error)
+from .frames import build_frame
 from .numerics import EPS_DEFAULT, require_unit, scale_safe_norm
 
 
@@ -91,6 +92,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise NonUnitSpinor(f"{exc}; pass --normalize to rescale") from None
 
     space = su.space_of_spinor(phi, args.eps)
+    phi_tilde = build_frame(phi, args.eps).phi_tilde + 0.0   # prints -0.0 as 0.0
     splitting = su.so5_splitting(space, args.eps)
     j = qt.complex_structure(phi, space, args.eps)
     coords = qt.hopf_coordinates(phi, space)
@@ -101,7 +103,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "y": jsonio.encode_vector(space.y),
         "d_basis": [jsonio.encode_vector(b) for b in space.d_basis],
         "v_basis": [jsonio.encode_spinor(v) for v in space.v_basis],
-        "phi_tilde": jsonio.encode_spinor(space.vperp_basis[1]),
+        "phi_tilde": jsonio.encode_spinor(phi_tilde),
         "su2_basis": [jsonio.encode_two_form(w) for w in splitting.su2_minus],
         "j_matrix": jsonio.encode_real_matrix(j),
         "hopf": [float(p) for p in point],
@@ -112,7 +114,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"d_basis[{i}]  {_fmt(b)}")
     for i, v in enumerate(space.v_basis):
         lines.append(f"v_basis[{i}]  {_fmt_spinor(v)}")
-    lines.append(f"phi_tilde   {_fmt_spinor(space.vperp_basis[1])}")
+    lines.append(f"phi_tilde   {_fmt_spinor(phi_tilde)}")
     for i, w in enumerate(splitting.su2_minus):
         lines.append(f"su2[{i}]      {_fmt(w)}")
     for i in range(4):

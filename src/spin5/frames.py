@@ -61,6 +61,13 @@ def distribution_basis(y: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray
     return nx.orthonormalize_rows(np.array(kept), eps, require=4)
 
 
+def reeb_projectors(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors (1 + i y.)/2 onto V and (1 - i y.)/2 onto V-perp, the -i and
+    +i eigenspaces of Clifford multiplication by the Reeb vector y."""
+    iy = 1j * cl.vector_matrix(y)
+    return (np.eye(4) + iy) / 2, (np.eye(4) - iy) / 2
+
+
 @dataclass(frozen=True)
 class SpinorFrame:
     """Data canonically attached to a unit spinor."""
@@ -79,10 +86,14 @@ def build_frame(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> SpinorFrame:
     y = reeb_vector(phi, eps)
     d_basis = distribution_basis(y, eps)
 
-    images = cl.vector_matrix(d_basis) @ phi
-    if nx.numerical_rank(images, eps) != 2:
+    # D . phi is V when y. squares to -1 and maps D . phi to -i times itself
+    y_mat = cl.vector_matrix(y)
+    p_v, p_vperp = reeb_projectors(y)
+    square = np.linalg.norm(y_mat @ y_mat + np.eye(4))
+    leak = np.linalg.norm(p_vperp @ (cl.vector_matrix(d_basis) @ phi).T)
+    if not (square <= np.sqrt(eps) and leak <= np.sqrt(eps)):   # NaN fails too
         raise NumericalRankFailure("D . phi is not a complex 2-plane")
-    v_basis = nx.canonical_complex_basis(images, 2, eps)
+    v_basis = nx.projector_basis(p_v, 2, eps)
 
     w_basis = cl.vector_matrix(np.eye(5)) @ phi
 
@@ -91,7 +102,7 @@ def build_frame(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> SpinorFrame:
     phi_tilde = nx.phase_normalize(
         qt.charge_conjugation(eps) @ phi.conj() / np.linalg.norm(phi), eps)
     worst = max(abs(cl.hermitian(phi_tilde, phi)), float(np.linalg.norm(
-        cl.vector_matrix(y) @ phi_tilde - 1j * phi_tilde)))
+        y_mat @ phi_tilde - 1j * phi_tilde)))
     if worst > np.sqrt(eps):
         raise DerivationFailure(f"C conj(phi) breaks the partner laws by {worst:.3e}")
 

@@ -8,8 +8,7 @@ Wire format conventions:
 * two-form         -> list of 10 floats, coefficients of e_i ^ e_j in
                       lexicographic index order (12, 13, 14, 15, 23, 24,
                       25, 34, 35, 45)
-* matrix           -> nested lists, row major; complex matrices use
-                      [re, im] pairs for entries
+* real matrix      -> nested lists, row major
 
 Parsers validate shape and element types and raise InputError with a
 message naming the offending field, so CLI callers can map bad payloads
@@ -54,13 +53,6 @@ def encode_real_matrix(m: np.ndarray) -> list[list[float]]:
     return [[float(x) for x in row] for row in m]
 
 
-def encode_complex_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError("expected a 2d array")
-    return [[encode_complex(z) for z in row] for row in m]
-
-
 def _require(condition: bool, field: str, expected: str) -> None:
     if not condition:
         raise InputError(f"field '{field}': expected {expected}")
@@ -100,11 +92,6 @@ def parse_spinor_list(data: Any, count: int | None, field: str) -> np.ndarray:
     if count is not None:
         _require(len(data) == count, field, f"exactly {count} spinors")
     return np.array([parse_spinor(s, f"{field}[{k}]") for k, s in enumerate(data)], dtype=complex)
-
-
-def parse_quaternion(data: Any, field: str = "rotate") -> np.ndarray:
-    _require(isinstance(data, (list, tuple)) and len(data) == 4, field, "a list of 4 numbers")
-    return np.array([_as_float(x, field) for x in data], dtype=float)
 
 
 def load_payload(text: str) -> dict:

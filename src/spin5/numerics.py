@@ -140,24 +140,15 @@ def orthonormalize_rows(rows: np.ndarray, eps: float = EPS_DEFAULT,
     return np.array(out) if out else np.zeros((0, rows.shape[1]), dtype=rows.dtype)
 
 
-def canonical_complex_basis(span_rows: np.ndarray, dim: int,
-                            eps: float = EPS_DEFAULT) -> np.ndarray:
-    """Deterministic orthonormal basis of a complex subspace of C^4.
+def projector_basis(p: np.ndarray, dim: int, eps: float = EPS_DEFAULT) -> np.ndarray:
+    """Deterministic orthonormal basis (rows) of the range of a projector array p.
 
-    Independent of the spanning set: the standard basis spinors are
-    projected onto the space, the first `dim` independent projections are
-    orthonormalized in order, and each vector gets its phase pinned.  For
-    coordinate subspaces this reproduces the standard spinors exactly.
-    """
-    q = row_space_basis(np.atleast_2d(np.asarray(span_rows, dtype=complex)), eps)
-    if q.shape[0] != dim:
-        raise DegenerateSubspace(
-            f"span has complex dimension {q.shape[0]}, expected {dim}")
-    p = projector(q)
-    candidates = [p @ e for e in np.eye(q.shape[1], dtype=complex)]
+    Gram-Schmidt, in index order, on the images p e_k of the standard basis,
+    keeping the first `dim` of norm above sqrt(eps), each with its phase pinned.
+    For coordinate subspaces this reproduces the standard spinors exactly."""
     picked: list[np.ndarray] = []
-    for c in candidates:
-        v = c.copy()
+    for e in np.eye(p.shape[1], dtype=complex):
+        v = p @ e
         for u in picked:
             v = v - np.vdot(u, v) * u
         n = np.linalg.norm(v)
@@ -170,15 +161,19 @@ def canonical_complex_basis(span_rows: np.ndarray, dim: int,
     return np.array(picked)
 
 
+def canonical_complex_basis(span_rows: np.ndarray, dim: int,
+                            eps: float = EPS_DEFAULT) -> np.ndarray:
+    """projector_basis of the span, so independent of the spanning set."""
+    q = row_space_basis(np.atleast_2d(np.asarray(span_rows, dtype=complex)), eps)
+    if q.shape[0] != dim:
+        raise DegenerateSubspace(
+            f"span has complex dimension {q.shape[0]}, expected {dim}")
+    return projector_basis(projector(q), dim, eps)
+
+
 def distance_to_row_span(v: np.ndarray, basis: np.ndarray,
                          eps: float = EPS_DEFAULT) -> float:
     """Norm of the component of v orthogonal to the row span of basis."""
     q = row_space_basis(np.atleast_2d(np.asarray(basis)), eps)
     return float(np.linalg.norm(v - projector(q) @ np.asarray(v)))
 
-
-def complex_complement(basis: np.ndarray, eps: float = EPS_DEFAULT) -> np.ndarray:
-    """Canonical orthonormal basis of the hermitian-orthogonal complement."""
-    basis = np.atleast_2d(np.asarray(basis, dtype=complex))
-    comp = kernel_basis(basis.conj(), eps)
-    return canonical_complex_basis(comp, comp.shape[0], eps)

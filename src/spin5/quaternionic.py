@@ -55,19 +55,12 @@ def charge_conjugation(eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     return c
 
 
-@cl._per_space
-def _complement_projector(space: "AdmissibleSpace",
-                          eps: float = nx.EPS_DEFAULT) -> np.ndarray:
-    """Orthogonal projector onto V-perp, as nx.distance_to_row_span builds it."""
-    return nx.projector(nx.row_space_basis(space.vperp_basis, eps))
-
-
 def _complement_spinor(phi: np.ndarray, space: "AdmissibleSpace",
                        eps: float) -> np.ndarray:
     """phi as a complex array, required to be a unit spinor in V-perp."""
     phi = np.asarray(phi, dtype=complex)
     nx.require_unit(nx.scale_safe_norm(phi), eps, NonUnitSpinor, "spinor norm")
-    off = float(np.linalg.norm(phi - _complement_projector(space, eps) @ phi))
+    off = np.linalg.norm(phi + 1j * (cl.vector_matrix(space.y) @ phi)) / 2   # |P_V phi|
     if off > np.sqrt(eps):
         raise InputError("spinor must lie in the plane's complement")
     return phi

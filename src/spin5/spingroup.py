@@ -17,6 +17,7 @@ import numpy as np
 from . import clifford as cl
 from . import numerics as nx
 from .errors import ConjugationNotVector, NonUnitGenerator, OddWord
+from .frames import reeb_projectors
 from .su2 import AdmissibleSpace, admissible_space
 
 
@@ -98,7 +99,7 @@ def act_on_space(g: SpinElement, space: AdmissibleSpace,
 def stabilizer_algebra(space: AdmissibleSpace,
                        eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     """Orthonormal basis (rows) of the two-forms whose action preserves V."""
-    complement = np.eye(4, dtype=complex) - nx.projector(space.v_basis)
+    complement = reeb_projectors(space.y)[1]
     images = np.swapaxes(cl.two_form_gamma_products() @ space.v_basis.T, 1, 2)
     leak = (complement @ images[..., None])[..., 0]   # e_I . v_k off V
     return nx.kernel_basis(cl.spinor_to_real(leak).reshape(10, 16).T, eps)

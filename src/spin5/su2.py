@@ -18,7 +18,7 @@ from . import numerics as nx
 from . import quaternionic as qt
 from .errors import (DegenerateSubspace, InputError, KernelDimensionError,
                      NotAdmissible)
-from .frames import build_frame, rep_matrix
+from .frames import build_frame, reeb_projectors, rep_matrix
 
 
 def annihilator(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
@@ -33,11 +33,6 @@ def annihilator(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
         raise KernelDimensionError(
             f"annihilator has dimension {basis.shape[0]}, expected 3")
     return basis
-
-
-def spinor_in_span(psi: np.ndarray, basis: np.ndarray) -> float:
-    """Distance from a spinor to the complex row span of basis."""
-    return nx.distance_to_row_span(psi, basis)
 
 
 @dataclass(frozen=True)
@@ -75,8 +70,9 @@ def is_admissible(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
     _, max_span = nx.project_columns(rep_matrix(psi), cl.spinor_to_real(basis).T)
     spanning = max_span <= tol
 
-    conj_op = qt.charge_conjugation(eps)
-    max_conj = max(spinor_in_span(conj_op @ v.conj(), basis) for v in basis)
+    images = qt.charge_conjugation(eps) @ basis.conj().T   # columns C conj(v_k)
+    off = images - nx.projector(basis) @ images
+    max_conj = float(np.linalg.norm(off, axis=0).max())
     conjugation = max_conj <= tol
 
     return AdmissibilityResult(verdict=spanning and conjugation,
@@ -107,17 +103,19 @@ def admissible_space(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
                      rng: np.random.Generator | None = None) -> AdmissibleSpace:
     """Validate a supplied plane and return it as the space of a complement spinor.
 
-    The plane must equal V_psi within sqrt(eps) for psi its first canonical
-    complement spinor, which holds when its complement spinors share y.
+    The plane's projector must lie within sqrt(eps) of (1 + i y.)/2, for y
+    the Reeb vector of psi, its first canonical complement spinor: that is,
+    the plane must be V_psi, which holds when its complement spinors share y.
     """
     result = is_admissible(v_basis, eps, samples, rng)
     if not result.verdict:
         raise NotAdmissible(
             f"spanning residual {result.max_spanning_residual:.3e}, "
             f"conjugation residual {result.max_conjugation_residual:.3e}")
-    canon = nx.canonical_complex_basis(np.atleast_2d(v_basis), 2, eps)
-    space = space_of_spinor(nx.complex_complement(canon, eps)[0], eps)
-    if not nx.subspace_distance(space.v_basis, canon, eps) <= np.sqrt(eps):
+    p = nx.projector(nx.row_space_basis(np.asarray(v_basis, dtype=complex), eps))
+    space = space_of_spinor(nx.projector_basis(np.eye(4) - p, 2, eps)[0], eps)
+    p_v, _ = reeb_projectors(space.y)
+    if not np.linalg.norm(p_v - p, ord=2) <= np.sqrt(eps):
         raise NotAdmissible("complement spinors disagree on the Reeb vector")
     return space
 
@@ -125,7 +123,7 @@ def admissible_space(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
 def space_of_spinor(phi: np.ndarray, eps: float = nx.EPS_DEFAULT) -> AdmissibleSpace:
     """The admissible space V_phi of a unit spinor, read off its frame."""
     fr = build_frame(phi, eps)
-    perp = nx.canonical_complex_basis([fr.phi, fr.phi_tilde], 2, eps)
+    perp = nx.projector_basis(reeb_projectors(fr.y)[1], 2, eps)
     return AdmissibleSpace(v_basis=fr.v_basis, vperp_basis=perp, y=fr.y,
                            d_basis=fr.d_basis)
 

@@ -128,7 +128,7 @@ def test_criterion_04_shared_annihilator_characterizes_complement():
                 worst_inside = max(worst_inside, nx.subspace_distance(
                     bases[a], bases[b]))
         chi = cl.random_unit_spinor(rng)
-        while su.spinor_in_span(chi, space.vperp_basis) < 0.05:
+        while nx.distance_to_row_span(chi, space.vperp_basis) < 0.05:
             chi = cl.random_unit_spinor(rng)
         least_outside = min(least_outside, nx.subspace_distance(
             su.annihilator(chi), bases[0]))

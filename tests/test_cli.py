@@ -69,6 +69,23 @@ def test_analyze_text_mode(monkeypatch, capsys):
         json.loads(out)
 
 
+def test_analyze_prints_the_frame_partner_spinor(monkeypatch, capsys):
+    phi = cl.random_unit_spinor(np.random.default_rng(3))
+    frame = sp.build_frame(phi)
+    code, out, _ = run(monkeypatch, capsys, ["analyze-spinor", "--json"],
+                       spinor_payload(phi))
+    assert code == 0
+    doc = json.loads(out)
+    phi_tilde = jsonio.parse_spinor(doc["phi_tilde"])
+    assert abs(cl.hermitian(phi_tilde, phi)) <= 1e-12
+    y_action = cl.vector_matrix(jsonio.parse_vector(doc["y"])) @ phi_tilde
+    assert np.linalg.norm(y_action - 1j * phi_tilde) <= 1e-12
+    assert np.array_equal(phi_tilde, frame.phi_tilde)
+    code, out, _ = run(monkeypatch, capsys, ["analyze-spinor"], spinor_payload(phi))
+    assert code == 0
+    assert f"phi_tilde   {cli._fmt_spinor(frame.phi_tilde)}\n" in out
+
+
 def test_analyze_rejects_non_unit(monkeypatch, capsys):
     code, _, err = run(monkeypatch, capsys,
                        ["analyze-spinor", "--json"],

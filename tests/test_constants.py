@@ -7,7 +7,6 @@ import pytest
 
 import spin5 as sp
 import spin5.clifford as cl
-import spin5.quaternionic as qt
 
 
 def tensordot_vector_matrix(x):
@@ -115,8 +114,7 @@ def space_arrays(space):
     return [getattr(space, f.name) for f in dataclasses.fields(space)]
 
 
-PLANE_CONSTANTS = (sp.so5_splitting, sp.adapted_triple,
-                   sp.triple_on_distribution, qt._complement_projector)
+PLANE_CONSTANTS = (sp.so5_splitting, sp.adapted_triple, sp.triple_on_distribution)
 
 
 def pipeline(space, nabla, a):

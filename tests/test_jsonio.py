@@ -28,10 +28,6 @@ def test_two_form_roundtrip(rng):
 def test_matrix_encoders(rng):
     m = rng.normal(size=(3, 5))
     assert np.array_equal(np.array(jsonio.encode_real_matrix(m)), m)
-    c = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    rows = jsonio.encode_complex_matrix(c)
-    back = np.array([[complex(re, im) for re, im in row] for row in rows])
-    assert np.array_equal(back, c)
 
 
 @pytest.mark.parametrize("bad", [None, 3, [1, 2, 3], [[1, 2]] * 3,
@@ -66,13 +62,6 @@ def test_parse_spinor_list_count():
     assert jsonio.parse_spinor_list(one, 1, "basis").shape == (1, 4)
     with pytest.raises(InputError, match="exactly 2 spinors"):
         jsonio.parse_spinor_list(one, 2, "basis")
-
-
-def test_parse_quaternion():
-    assert np.array_equal(jsonio.parse_quaternion([1, 0, 0, 0]),
-                          np.array([1.0, 0, 0, 0]))
-    with pytest.raises(InputError):
-        jsonio.parse_quaternion([1, 0, 0])
 
 
 def test_load_payload_errors():

@@ -213,3 +213,26 @@ def test_admissible_space_matches_space_of_complement_spinor(rng):
                      (own.vperp_basis, supplied.vperp_basis)):
             assert np.abs(nx.projector(a) - nx.projector(b)).max() <= 1e-13
         assert np.abs(own.y - supplied.y).max() <= 1e-13
+
+
+def test_svd_budget(monkeypatch, rng):
+    """V and V-perp come from the projectors (1 +- i y.)/2, not from rank tests."""
+    phi = cl.random_unit_spinor(rng)
+    plane = sp.space_of_spinor(phi).v_basis
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert count(sp.build_frame, phi) == 0
+    assert count(sp.space_of_spinor, phi) == 0
+    assert count(sp.is_admissible, plane) == 2   # the plane's basis and its kernel
+    assert count(sp.admissible_space, plane) <= 3

@@ -57,6 +57,21 @@ def test_validate_nabla_radial(fundamental_space):
         sp.validate_nabla(sp.NablaDatum(phi=phi, derivatives=derivs))
 
 
+@pytest.mark.parametrize("factor, ok", [(0.5, True), (2.0, False)])
+def test_validate_nabla_radial_bound_scales_with_the_row(fundamental_space,
+                                                          factor, ok):
+    phi, other = fundamental_space.vperp_basis
+    size = 1e6
+    derivs = np.zeros((5, 4), dtype=complex)
+    derivs[2] = size * other + factor * 1e-9 * size * phi   # |d| rounds to 1e6
+    nabla = sp.NablaDatum(phi=phi, derivatives=derivs)
+    if ok:
+        sp.validate_nabla(nabla, 1e-9)
+    else:
+        with pytest.raises(sp.NonOrthogonalDerivative, match="derivative 3"):
+            sp.validate_nabla(nabla, 1e-9)
+
+
 @pytest.mark.parametrize("solve", [sp.decompose, sp.omega_decompose,
                                    sp.intrinsic_torsion])
 def test_nan_derivative_is_rejected(fundamental_space, rng, solve):

@@ -93,6 +93,17 @@ def test_context_count_scales():
     assert big.count(50) == 200
 
 
+# Under gamma_3[0, 0] = 0.5 at seed 0 and samples 2: the status of each check
+# that runs to the end, by number, and the exception named by each check that
+# crashes, NumericalRankFailure unless listed.  A guard that moves or goes
+# missing changes the exception a check reports.
+TAMPERED_FINISHED = {1: "FAIL", 2: "NOTE", 3: "FAIL", 4: "PASS", 5: "FAIL",
+                     6: "FAIL", 11: "FAIL", 26: "PASS", 42: "PASS"}
+TAMPERED_CRASHES = {12: "KernelDimensionError", 20: "DerivationFailure",
+                    21: "DerivationFailure", 22: "DerivationFailure",
+                    30: "ConjugationNotVector", 35: "DerivationFailure"}
+
+
 def test_exception_becomes_failure(monkeypatch):
     bad = list(cl._GAMMA)
     bad[2] = bad[2].copy()
@@ -106,6 +117,14 @@ def test_exception_becomes_failure(monkeypatch):
     for r in crashed:
         assert r.status == "FAIL"
         assert r.detail   # carries the exception summary
+    for number, r in enumerate(report.results, start=1):
+        if number in TAMPERED_FINISHED:
+            assert r.max_residual != -1.0
+            assert r.status == TAMPERED_FINISHED[number]
+        else:
+            assert r in crashed
+            assert r.detail.split(":")[0] == TAMPERED_CRASHES.get(
+                number, "NumericalRankFailure")
 
 
 # sha256 of the "id<TAB>claim" lines of the registry; a changed id, claim or
