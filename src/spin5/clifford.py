@@ -55,6 +55,9 @@ DIM_V = 5
 DIM_SPINOR = 4
 DIM_TWO_FORMS = len(TWO_FORM_PAIRS)
 
+# 0-based row and column of each pair, for the two-form coordinate maps.
+_PAIR_ROWS, _PAIR_COLS = np.array(TWO_FORM_PAIRS).T - 1
+
 _T = TypeVar("_T")
 
 
@@ -193,40 +196,32 @@ def spinor_to_real(phi: np.ndarray) -> np.ndarray:
     return np.concatenate([phi.real, phi.imag], axis=-1)
 
 
-def real_to_spinor(r: np.ndarray) -> np.ndarray:
-    """Inverse of spinor_to_real."""
-    r = np.asarray(r, dtype=float)
-    return r[:DIM_SPINOR] + 1j * r[DIM_SPINOR:]
-
-
 # ---------------------------------------------------------------------------
 # Two-forms as coefficient vectors of length 10.
 # ---------------------------------------------------------------------------
 
 def two_form_to_matrix(w: np.ndarray) -> np.ndarray:
-    """Antisymmetric 5x5 matrix W with W[i,j] = w(e_i, e_j)."""
+    """Antisymmetric 5x5 matrix W with W[i,j] = w(e_i, e_j); takes (..., 10) stacks."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (DIM_TWO_FORMS,):
-        raise InputError(f"two-form must have shape (10,), got {w.shape}")
-    m = np.zeros((DIM_V, DIM_V))
-    for c, (i, j) in zip(w, TWO_FORM_PAIRS):
-        m[i - 1, j - 1] = c
-        m[j - 1, i - 1] = -c
+    if w.ndim == 0 or w.shape[-1] != DIM_TWO_FORMS:
+        raise InputError(f"two-form must have shape (..., 10), got {w.shape}")
+    m = np.zeros(w.shape[:-1] + (DIM_V, DIM_V))
+    m[..., _PAIR_ROWS, _PAIR_COLS] = w
+    m[..., _PAIR_COLS, _PAIR_ROWS] = -w
     return m
 
 
 def matrix_to_two_form(m: np.ndarray) -> np.ndarray:
-    """Coefficient vector of an antisymmetric 5x5 matrix."""
-    m = np.asarray(m, dtype=float)
-    return np.array([m[i - 1, j - 1] for i, j in TWO_FORM_PAIRS])
+    """Coefficient vector of an antisymmetric 5x5 matrix; takes (..., 5, 5) stacks."""
+    return np.asarray(m, dtype=float)[..., _PAIR_ROWS, _PAIR_COLS]
 
 
 def wedge_vectors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Two-form coefficients of x^flat wedge y^flat."""
+    """Two-form coefficients of x^flat wedge y^flat; the leading axes broadcast."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return np.array([x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-                     for i, j in TWO_FORM_PAIRS])
+    return (x[..., _PAIR_ROWS] * y[..., _PAIR_COLS]
+            - x[..., _PAIR_COLS] * y[..., _PAIR_ROWS])
 
 
 def two_form_gamma_products() -> np.ndarray:
@@ -243,9 +238,9 @@ def two_form_matrix_rep(w: np.ndarray) -> np.ndarray:
 
 
 def interior_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coefficients of the 1-form x . w, i.e. (x . w)(v) = w(x, v)."""
+    """Coefficients of the 1-form x . w, i.e. (x . w)(v) = w(x, v); stacks broadcast."""
     x = np.asarray(x, dtype=float)
-    return x @ two_form_to_matrix(w)
+    return (x[..., None, :] @ two_form_to_matrix(w))[..., 0, :]
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def _complement_spinor(phi: np.ndarray, space: "AdmissibleSpace",
     phi = np.asarray(phi, dtype=complex)
     nx.require_unit(nx.scale_safe_norm(phi), eps, NonUnitSpinor, "spinor norm")
     off = np.linalg.norm(phi + 1j * (cl.vector_matrix(space.y) @ phi)) / 2   # |P_V phi|
-    if off > np.sqrt(eps):
+    if not off <= np.sqrt(eps):   # NaN fails too
         raise InputError("spinor must lie in the plane's complement")
     return phi
 
@@ -201,12 +201,6 @@ class DistributionTriple:
     omegas: np.ndarray         # (3, 10) ambient two-forms, zero off D
 
 
-def _two_form_on_distribution(j: np.ndarray, d_basis: np.ndarray) -> np.ndarray:
-    """Ambient coefficients of w(x, y) = <x, J y> on D, extended by zero."""
-    m = d_basis.T @ j @ d_basis
-    return cl.matrix_to_two_form(m)
-
-
 @cl._per_space
 def triple_on_distribution(space: "AdmissibleSpace",
                            eps: float = nx.EPS_DEFAULT) -> DistributionTriple:
@@ -225,7 +219,8 @@ def triple_on_distribution(space: "AdmissibleSpace",
     j1 = complex_structure(phis[0], space, eps)
     j2 = complex_structure(phis[1], space, eps)
     js = np.array([j1, j2, j1 @ j2])
-    omegas = np.array([_two_form_on_distribution(j, space.d_basis) for j in js])
+    # ambient coefficients of w(x, y) = <x, J y> on D, extended by zero
+    omegas = cl.matrix_to_two_form(space.d_basis.T @ js @ space.d_basis)
     return DistributionTriple(j_matrices=js, spinors=phis, omegas=omegas)
 
 

@@ -35,6 +35,10 @@ class SpinElement:
         return SpinElement(matrix=self.matrix @ other.matrix,
                            word=np.vstack([self.word, other.word]))
 
+    def apply(self, spinors: np.ndarray) -> np.ndarray:
+        """g phi for each spinor of a (..., 4) stack."""
+        return (self.matrix @ np.asarray(spinors)[..., None])[..., 0]
+
 
 def spin_element(word: Sequence[np.ndarray],
                  eps: float = nx.EPS_DEFAULT) -> SpinElement:
@@ -65,25 +69,30 @@ def random_spin(rng: np.random.Generator, length: int = 4,
 
 def adjoint_vector(g: SpinElement, x: np.ndarray,
                    eps: float = nx.EPS_DEFAULT) -> np.ndarray:
-    """The vector v with g (x . phi) = v . (g phi), from g L_x g^{-1}."""
+    """The vector v with g (x . phi) = v . (g phi), from g L_x g^{-1}.
+
+    A (..., 5) stack is conjugated at once; each row has its own residual bound.
+    """
     x = np.asarray(x, dtype=float)
     m = g.matrix @ cl.vector_matrix(x) @ g.matrix.conj().T
-    v = np.array([-np.trace(m @ cl.gamma(i)).real / 4.0 for i in range(1, 6)])
-    res = np.linalg.norm(cl.vector_matrix(v) - m)
-    if res > np.sqrt(eps) * max(1.0, float(np.linalg.norm(x))):
+    products = m[..., None, :, :] @ cl._gamma_stacks()[0]   # (..., 5, 4, 4)
+    v = -np.trace(products, axis1=-2, axis2=-1).real / 4.0
+    res = np.linalg.norm(cl.vector_matrix(v) - m, axis=(-2, -1))
+    bound = np.sqrt(eps) * np.maximum(1.0, np.linalg.norm(x, axis=-1))
+    if not np.all(res <= bound):   # NaN fails too
         raise ConjugationNotVector(
-            f"conjugated operator is not a vector, residual {res:.3e}")
+            f"conjugated operator is not a vector, residual {np.max(res):.3e}")
     return v
 
 
 def adjoint_matrix(g: SpinElement, eps: float = nx.EPS_DEFAULT) -> np.ndarray:
     """5x5 rotation matrix of the induced action on R^5."""
-    return np.array([adjoint_vector(g, e, eps) for e in np.eye(5)]).T
+    return adjoint_vector(g, np.eye(5), eps).T
 
 
 def adjoint_form(g: SpinElement, w: np.ndarray,
                  eps: float = nx.EPS_DEFAULT) -> np.ndarray:
-    """Push a two-form forward along the induced rotation."""
+    """Push a two-form, or a (..., 10) stack of them, along the induced rotation."""
     a = adjoint_matrix(g, eps)
     return cl.matrix_to_two_form(a @ cl.two_form_to_matrix(w) @ a.T)
 
@@ -92,8 +101,7 @@ def act_on_space(g: SpinElement, space: AdmissibleSpace,
                  eps: float = nx.EPS_DEFAULT,
                  rng: np.random.Generator | None = None) -> AdmissibleSpace:
     """Image of an admissible plane, revalidated and re-canonicalized."""
-    moved = np.array([g.matrix @ v for v in space.v_basis])
-    return admissible_space(moved, eps, rng=rng)
+    return admissible_space(g.apply(space.v_basis), eps, rng=rng)
 
 
 def stabilizer_algebra(space: AdmissibleSpace,

@@ -53,6 +53,13 @@ def is_admissible(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
     requires both.  The spanning test draws `samples` random unit spinors
     from the orthogonal complement, so at least one is required.
     """
+    return _admissibility(v_basis, eps, samples, rng)[1]
+
+
+def _admissibility(v_basis: np.ndarray, eps: float, samples: int,
+                   rng: np.random.Generator | None
+                   ) -> tuple[np.ndarray, AdmissibilityResult]:
+    """is_admissible, with the orthonormal basis (rows) of the plane it tested."""
     if samples < 1:
         raise InputError(f"samples must be at least 1, got {samples}")
     if rng is None:
@@ -75,11 +82,11 @@ def is_admissible(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
     max_conj = float(np.linalg.norm(off, axis=0).max())
     conjugation = max_conj <= tol
 
-    return AdmissibilityResult(verdict=spanning and conjugation,
-                               spanning_test=spanning,
-                               conjugation_test=conjugation,
-                               max_spanning_residual=max_span,
-                               max_conjugation_residual=max_conj)
+    return basis, AdmissibilityResult(verdict=spanning and conjugation,
+                                      spanning_test=spanning,
+                                      conjugation_test=conjugation,
+                                      max_spanning_residual=max_span,
+                                      max_conjugation_residual=max_conj)
 
 
 @dataclass(frozen=True)
@@ -106,16 +113,17 @@ def admissible_space(v_basis: np.ndarray, eps: float = nx.EPS_DEFAULT,
     The plane's projector must lie within sqrt(eps) of (1 + i y.)/2, for y
     the Reeb vector of psi, its first canonical complement spinor: that is,
     the plane must be V_psi, which holds when its complement spinors share y.
+    The spectral norm of that Hermitian difference is its largest |eigenvalue|.
     """
-    result = is_admissible(v_basis, eps, samples, rng)
+    basis, result = _admissibility(v_basis, eps, samples, rng)
     if not result.verdict:
         raise NotAdmissible(
             f"spanning residual {result.max_spanning_residual:.3e}, "
             f"conjugation residual {result.max_conjugation_residual:.3e}")
-    p = nx.projector(nx.row_space_basis(np.asarray(v_basis, dtype=complex), eps))
+    p = nx.projector(basis)
     space = space_of_spinor(nx.projector_basis(np.eye(4) - p, 2, eps)[0], eps)
     p_v, _ = reeb_projectors(space.y)
-    if not np.linalg.norm(p_v - p, ord=2) <= np.sqrt(eps):
+    if not np.abs(np.linalg.eigvalsh(p_v - p)).max() <= np.sqrt(eps):
         raise NotAdmissible("complement spinors disagree on the Reeb vector")
     return space
 
@@ -148,7 +156,7 @@ def so5_splitting(space: AdmissibleSpace, eps: float = nx.EPS_DEFAULT) -> So5Spl
     """
     su2_minus = annihilator(space.vperp_basis[0], eps)
     su2_plus = annihilator(space.v_basis[0], eps)
-    r4 = np.array([cl.wedge_vectors(b, space.y) for b in space.d_basis])
+    r4 = cl.wedge_vectors(space.d_basis, space.y)
     return So5Splitting(su2_minus=su2_minus, su2_plus=su2_plus, r4=r4)
 
 
@@ -160,9 +168,8 @@ def dual_action_span(space: AdmissibleSpace, phi: np.ndarray,
 
 
 def two_form_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Commutator bracket of two-forms under the so(5) identification."""
-    ma = cl.two_form_to_matrix(a)
-    mb = cl.two_form_to_matrix(b)
+    """Commutator bracket of two-forms, or of stacks, under the so(5) identification."""
+    ma, mb = cl.two_form_to_matrix(a), cl.two_form_to_matrix(b)
     return cl.matrix_to_two_form(ma @ mb - mb @ ma)
 
 

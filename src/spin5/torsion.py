@@ -106,7 +106,7 @@ def split_endomorphism(s_d: np.ndarray, js: np.ndarray,
     s_d = np.asarray(s_d, dtype=float)
     js = np.asarray(js, dtype=float)
     for j in js:
-        if np.linalg.norm(j @ j + np.eye(4)) > np.sqrt(eps):
+        if not np.linalg.norm(j @ j + np.eye(4)) <= np.sqrt(eps):   # NaN fails too
             raise InputError("triple entries must square to -Id")
     conj = np.array([j @ s_d @ j for j in js])
     lambda0 = float(np.trace(s_d)) / 4.0

@@ -511,8 +511,7 @@ def _chk_su2_admissibility_tests(ctx: CheckContext) -> Outcome:
     admissible_seen = 0
     for _ in range(moved_n):
         g = sg.random_spin(rng)
-        basis = np.array([g.matrix @ v for v in v0.v_basis])
-        res = su.is_admissible(basis, ctx.eps, rng=rng)
+        res = su.is_admissible(g.apply(v0.v_basis), ctx.eps, rng=rng)
         # the two tests must agree, and moved planes must stay admissible
         disagreements += (res.spanning_test != res.conjugation_test) + (not res.verdict)
         admissible_seen += int(res.verdict)
@@ -539,15 +538,13 @@ def _chk_su2_splitting(ctx: CheckContext) -> Outcome:
     for _ in range(n):
         space = su.random_admissible_space(rng, ctx.eps)
         sp = su.so5_splitting(space, ctx.eps)
-        stacked = sp.stacked()
+        stacked = sp.stacked()   # rows: su(2)-, su(2)+, the D^y forms
         worst.add(_absmax(stacked @ stacked.T - np.eye(10)))
         sing = np.linalg.svd(stacked, compute_uv=False)
         worst_cond.add(sing[0] / sing[-1])
-        worst.add(*(_absmax(cl.interior_product(space.y, w))
-                    for w in np.vstack([sp.su2_minus, sp.su2_plus])))
-        wedges = np.array([cl.wedge_vectors(a, b)
-                           for i, a in enumerate(space.d_basis)
-                           for b in space.d_basis[i + 1:]])
+        worst.add(*np.abs(cl.interior_product(space.y, stacked[:6])).max(axis=-1))
+        rows, cols = np.triu_indices(len(space.d_basis), 1)
+        wedges = cl.wedge_vectors(space.d_basis[rows], space.d_basis[cols])
         proj = wedges - wedges @ sp.su2_minus.T @ sp.su2_minus
         worst.add(nx.subspace_distance(proj, sp.su2_plus, ctx.eps))
     detail = (f"blocks are orthonormal, tangent to the distribution, and "
@@ -889,11 +886,10 @@ def _chk_spin_equivariance(ctx, rng, k) -> Sample:
     yield _absmax(a.T @ a - np.eye(5))
     yield abs(float(np.linalg.det(a)) - 1.0)
     w1, w2 = cl.random_two_form(rng), cl.random_two_form(rng)
-    yield abs(float(sg.adjoint_form(g, w1, ctx.eps) @ sg.adjoint_form(g, w2, ctx.eps)
-                    - w1 @ w2))
-    yield _norm(sg.adjoint_form(g, su.two_form_bracket(w1, w2), ctx.eps)
-                - su.two_form_bracket(sg.adjoint_form(g, w1, ctx.eps),
-                                      sg.adjoint_form(g, w2, ctx.eps)))
+    g_w1, g_w2, g_bracket = sg.adjoint_form(
+        g, np.array([w1, w2, su.two_form_bracket(w1, w2)]), ctx.eps)
+    yield abs(float(g_w1 @ g_w2 - w1 @ w2))
+    yield _norm(g_bracket - su.two_form_bracket(g_w1, g_w2))
 
 
 @_sampled("31-spin-act-admissible",
@@ -905,8 +901,7 @@ def _chk_spin_act_admissible(ctx, rng, k) -> Sample:
              else su.random_admissible_space(rng, ctx.eps))
     g = sg.random_spin(rng, eps=ctx.eps)
     moved = sg.act_on_space(g, space, ctx.eps, rng=rng)
-    target = np.array([g.matrix @ v for v in space.v_basis])
-    yield nx.subspace_distance(moved.v_basis, target, ctx.eps)
+    yield nx.subspace_distance(moved.v_basis, g.apply(space.v_basis), ctx.eps)
 
 
 @_check("32-spin-stabilizer",
@@ -949,13 +944,12 @@ def _chk_spin_conjugacy(ctx: CheckContext) -> Outcome:
         sp = su.so5_splitting(space, ctx.eps)
         alg = sg.stabilizer_algebra(space, ctx.eps)
         g = sg.exp_element(alg.T @ rng.standard_normal(alg.shape[0]))
-        image = np.array([sg.adjoint_form(g, w, ctx.eps) for w in sp.su2_minus])
+        image = sg.adjoint_form(g, sp.su2_minus, ctx.eps)
         worst.add(nx.subspace_distance(image, sp.su2_minus, ctx.eps))
         h = _draw_until(lambda: sg.random_spin(rng, eps=ctx.eps),
                         lambda h: nx.subspace_distance(
-                            np.array([h.matrix @ v for v in space.v_basis]),
-                            space.v_basis, ctx.eps) > 0.1)
-        image = np.array([sg.adjoint_form(h, w, ctx.eps) for w in sp.su2_minus])
+                            h.apply(space.v_basis), space.v_basis, ctx.eps) > 0.1)
+        image = sg.adjoint_form(h, sp.su2_minus, ctx.eps)
         closest.add(nx.subspace_distance(image, sp.su2_minus, ctx.eps))
     status = "PASS" if worst.value <= ctx.eps and closest.value > 1e-3 else "FAIL"
     detail = (f"stabilizing elements preserve the algebra (residual "
@@ -976,7 +970,7 @@ def _chk_spin_conjugation_direction(ctx: CheckContext) -> Outcome:
         space = su.random_admissible_space(rng, ctx.eps)
         sp = su.so5_splitting(space, ctx.eps)
         g = sg.random_spin(rng, eps=ctx.eps)
-        image = np.array([sg.adjoint_form(g, w, ctx.eps) for w in sp.su2_minus])
+        image = sg.adjoint_form(g, sp.su2_minus, ctx.eps)
         moved = su.so5_splitting(sg.act_on_space(g, space, ctx.eps, rng=rng),
                                  ctx.eps)
         moved_back = su.so5_splitting(

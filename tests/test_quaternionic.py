@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,12 @@ def test_complex_structure_defining_property(rng):
 def test_complex_structure_requires_complement_spinor(fundamental_space):
     with pytest.raises(sp.InputError):
         sp.complex_structure(sp.standard_spinor(3), fundamental_space)
+
+
+def test_complex_structure_rejects_nan_reeb_vector(fundamental_space):
+    space = dataclasses.replace(fundamental_space, y=np.full(5, np.nan))
+    with pytest.raises(sp.InputError):
+        sp.complex_structure(sp.standard_spinor(1), space)
 
 
 def test_hopf_known_values():

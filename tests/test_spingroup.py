@@ -127,3 +127,61 @@ def test_global_triple_commutes_with_group(rng):
         for op in triple.ops():
             assert np.linalg.norm(
                 op(g.matrix @ psi) - g.matrix @ op(psi)) <= 1e-12
+
+
+def test_adjoint_vector_takes_stacks(rng):
+    g = sp.random_spin(rng)
+    xs = rng.standard_normal((6, 5))
+    assert np.array_equal(sp.adjoint_vector(g, xs),
+                          np.array([sp.adjoint_vector(g, x) for x in xs]))
+    assert np.array_equal(sp.adjoint_matrix(g),
+                          np.array([sp.adjoint_vector(g, e) for e in np.eye(5)]).T)
+
+
+def test_adjoint_vector_bound_is_per_row():
+    # g = diag(c, c, 1, 1) is not unitary.  It scales gamma_1..gamma_4, which
+    # swap the two halves, into vectors, but its conjugate of gamma_5 is no
+    # vector.  Each row must meet sqrt(eps) max(1, |x|) with its own |x|, so
+    # a long passing row does not lend its bound to a short failing one.
+    g = sp.SpinElement(matrix=np.diag([1.001, 1.001, 1.0, 1.0]).astype(complex),
+                       word=np.zeros((0, 5)))
+    long_row, bad_row = 1e8 * cl.standard_vector(1), cl.standard_vector(5)
+    assert np.abs(sp.adjoint_vector(g, long_row) - 1.001 * long_row).max() <= 1e-6
+    with pytest.raises(sp.ConjugationNotVector):
+        sp.adjoint_vector(g, bad_row)
+    with pytest.raises(sp.ConjugationNotVector):
+        sp.adjoint_vector(g, np.array([long_row, bad_row]))
+
+
+def test_adjoint_vector_rejects_nan_element():
+    g = sp.SpinElement(matrix=np.full((4, 4), np.nan, dtype=complex),
+                       word=np.zeros((0, 5)))
+    with pytest.raises(sp.ConjugationNotVector):
+        sp.adjoint_vector(g, cl.standard_vector(1))
+
+
+def test_adjoint_form_takes_stacks(rng):
+    space = sp.random_admissible_space(rng)
+    g = sp.random_spin(rng)
+    minus = sp.so5_splitting(space).su2_minus
+    assert np.array_equal(sp.adjoint_form(g, minus),
+                          np.array([sp.adjoint_form(g, w) for w in minus]))
+
+
+def test_conjugation_budget(monkeypatch, rng):
+    """One conjugation of the generator stack per adjoint_matrix, not one per vector."""
+    g = sp.random_spin(rng)
+    ws = rng.standard_normal((3, 10))
+    calls = []
+    vector_matrix = cl.vector_matrix
+
+    def counted(x):
+        calls.append(x)
+        return vector_matrix(x)
+
+    monkeypatch.setattr(cl, "vector_matrix", counted)
+    sp.adjoint_matrix(g)
+    assert len(calls) == 2   # the generators, then the read-off vectors
+    calls.clear()
+    sp.adjoint_form(g, ws)
+    assert len(calls) == 2

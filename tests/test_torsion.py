@@ -110,6 +110,11 @@ def test_roundtrip(rng):
         assert np.abs(rec.derivatives - nabla.derivatives).max() <= 1e-9
 
 
+def test_split_endomorphism_rejects_nan_triple():
+    with pytest.raises(sp.InputError):
+        ts.split_endomorphism(np.eye(4), np.full((3, 4, 4), np.nan))
+
+
 def test_split_endomorphism_laws(rng):
     space = sp.random_admissible_space(rng)
     nabla = sp.random_nabla(space, rng)
