@@ -74,8 +74,10 @@ class AntilinearOp:
     antilinear: bool
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
+        """Apply to a spinor or a (..., 4) stack of spinors."""
         phi = np.asarray(phi, dtype=complex)
-        return self.matrix @ (phi.conj() if self.antilinear else phi)
+        v = phi.conj() if self.antilinear else phi
+        return (self.matrix @ v[..., None])[..., 0]
 
     def compose(self, other: "AntilinearOp") -> "AntilinearOp":
         m = self.matrix @ (other.matrix.conj() if self.antilinear else other.matrix)
@@ -94,7 +96,7 @@ class StructureTriple:
         return (self.k1, self.k2, self.k3)
 
     def apply_quaternion(self, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """a0 phi + a1 k1(phi) + a2 k2(phi) + a3 k3(phi)."""
+        """a0 phi + a1 k1(phi) + a2 k2(phi) + a3 k3(phi), phi of shape (..., 4)."""
         a = np.asarray(a, dtype=float)
         phi = np.asarray(phi, dtype=complex)
         return (a[0] * phi + a[1] * self.k1(phi)

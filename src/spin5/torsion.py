@@ -60,14 +60,14 @@ def random_nabla(space: AdmissibleSpace, rng: np.random.Generator,
 
 
 def _tangent_basis(phi: np.ndarray, space: AdmissibleSpace,
-                   triple: StructureTriple) -> np.ndarray:
-    """8x7 real matrix of the tangent frame {b_p . phi} + {j_k phi}."""
+                   triple: StructureTriple, eps: float) -> np.ndarray:
+    """8x7 real matrix of the orthonormal tangent frame {b_p . phi} + {j_k phi}."""
     images = np.vstack([cl.vector_matrix(space.d_basis) @ phi,
                         [op(phi) for op in triple.ops()]])
     basis = cl.spinor_to_real(images).T
-    smin = np.linalg.svd(basis, compute_uv=False)[-1]
-    if smin < 0.5:
-        raise BasisDegeneracy(f"tangent frame nearly singular, sigma_min {smin:.3e}")
+    gram = float(np.abs(basis.T @ basis - np.eye(7)).max())
+    if not gram <= np.sqrt(eps):   # NaN fails too
+        raise BasisDegeneracy(f"tangent frame not orthonormal, Gram residual {gram:.3e}")
     return basis
 
 
@@ -105,18 +105,14 @@ def split_endomorphism(s_d: np.ndarray, js: np.ndarray,
     """
     s_d = np.asarray(s_d, dtype=float)
     js = np.asarray(js, dtype=float)
-    for j in js:
-        if not np.linalg.norm(j @ j + np.eye(4)) <= np.sqrt(eps):   # NaN fails too
-            raise InputError("triple entries must square to -Id")
-    conj = np.array([j @ s_d @ j for j in js])
+    squares = np.linalg.norm(js @ js + np.eye(4), axis=(-2, -1))
+    if not squares.max() <= np.sqrt(eps):   # NaN fails too
+        raise InputError("triple entries must square to -Id")
+    conj = js @ s_d @ js
     lambda0 = float(np.trace(s_d)) / 4.0
-    lambdas = np.array([-float(np.trace(j @ s_d)) / 4.0 for j in js])
+    lambdas = -np.trace(js @ s_d, axis1=-2, axis2=-1) / 4.0
     s0 = (s_d - conj.sum(axis=0)) / 4.0 - lambda0 * np.eye(4)
-    sigma = np.empty((3, 4, 4))
-    for k in range(3):
-        l, m = (k + 1) % 3, (k + 2) % 3
-        part = (s_d - conj[k] + conj[l] + conj[m]) / 4.0
-        sigma[k] = part - lambdas[k] * js[k]
+    sigma = (s_d + conj.sum(axis=0) - 2.0 * conj) / 4.0 - lambdas[:, None, None] * js
     return lambda0, lambdas, s0, sigma
 
 
@@ -127,36 +123,37 @@ def _require_solved(residual: float, target: np.ndarray, eps: float,
         raise DerivationFailure(f"{what} residual {residual:.3e}")
 
 
-def _solve_forms(basis: np.ndarray, phi: np.ndarray, targets: np.ndarray,
-                 eps: float, what: str) -> tuple[np.ndarray, float]:
-    """Coefficients c with (c[:, i] @ basis) . phi = targets[i] for each i."""
-    a = cl.spinor_to_real(cl.two_form_matrix_rep(basis) @ phi).T
-    c, worst = nx.project_columns(a, cl.spinor_to_real(targets).T)
-    _require_solved(worst, targets, eps, what)
-    return c, worst
+def _form_split(nabla: NablaDatum, space: AdmissibleSpace, eps: float,
+                what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validate a datum, then project nabla_i phi on the images of su(2)+ + D^y.
 
-
-def _raw_split(nabla: NablaDatum, space: AdmissibleSpace, eps: float
-               ) -> tuple[np.ndarray, StructureTriple, np.ndarray, float]:
-    """Validate a datum, then solve nabla_i phi = S(e_i).phi + beta(e_i).j(phi).
-
-    Returns phi, the adapted triple, the 7x5 coefficients (rows 0-3 give S
-    in D-coordinates, rows 4-6 give beta) and the worst column residual.
+    Returns the 7 basis forms (su2_plus, then r4), the 7x5 coefficients c
+    with (c[:, i] @ basis) . phi = nabla_i phi, and the worst column residual.
     """
     validate_nabla(nabla, eps)
     phi = _complement_spinor(nabla.phi, space, eps)
-    triple = adapted_triple(space, eps)
+    splitting = so5_splitting(space, eps)
+    basis = np.vstack([splitting.su2_plus, splitting.r4])
     derivs = np.asarray(nabla.derivatives, dtype=complex)
-    coeffs, residual = nx.project_columns(_tangent_basis(phi, space, triple),
-                                          cl.spinor_to_real(derivs).T)
-    _require_solved(residual, derivs, eps, "derivative split")
-    return phi, triple, coeffs, residual
+    a = cl.spinor_to_real(cl.two_form_matrix_rep(basis) @ phi).T
+    c, worst = nx.project_columns(a, cl.spinor_to_real(derivs).T)
+    _require_solved(worst, derivs, eps, what)
+    return basis, c, worst
 
 
 def decompose(nabla: NablaDatum, space: AdmissibleSpace,
               eps: float = nx.EPS_DEFAULT) -> TorsionDecomposition:
-    """Split a derivative datum into its tangential and rotational parts."""
-    phi, _, coeffs, residual = _raw_split(nabla, space, eps)
+    """Split a derivative datum into its tangential and rotational parts.
+
+    Solves nabla_i phi = S(e_i).phi + beta(e_i).j(phi) on the tangent frame.
+    """
+    validate_nabla(nabla, eps)
+    phi = _complement_spinor(nabla.phi, space, eps)
+    derivs = np.asarray(nabla.derivatives, dtype=complex)
+    coeffs, residual = nx.project_columns(
+        _tangent_basis(phi, space, adapted_triple(space, eps), eps),
+        cl.spinor_to_real(derivs).T)
+    _require_solved(residual, derivs, eps, "derivative split")
     s_matrix = coeffs[:4]
     beta = coeffs[4:]
     z = s_matrix @ space.y
@@ -192,18 +189,15 @@ class OmegaDecomposition:
 
 def omega_decompose(nabla: NablaDatum, space: AdmissibleSpace,
                     eps: float = nx.EPS_DEFAULT) -> OmegaDecomposition:
-    """Forms w_X in su(2)+ with w_X . phi = sum_k beta_k(X) j_k(phi)."""
-    phi, triple, coeffs, _ = _raw_split(nabla, space, eps)
-    beta = coeffs[4:]
-    jphis = np.array([op(phi) for op in triple.ops()])
-    plus = so5_splitting(space, eps).su2_plus
-    # beta on X = e_1..e_5, on y, and on the projections of e_i to D.
-    betas = np.hstack([beta, (beta @ space.y)[:, None],
-                       (beta @ space.d_basis.T) @ space.d_basis])
-    c, worst = _solve_forms(plus, phi, betas.T @ jphis, eps, "rotation form")
-    forms = c.T @ plus
-    return OmegaDecomposition(omega=forms[:5], omega_zeta=forms[5],
-                              omega_d=forms[6:], residual=worst)
+    """Forms w_X in su(2)+ with w_X . phi = sum_k beta_k(X) j_k(phi).
+
+    w_X is the su(2)+ part of the projection of nabla_X phi, linear in X.
+    """
+    basis, c, worst = _form_split(nabla, space, eps, "rotation form")
+    omega = c[:3].T @ basis[:3]
+    return OmegaDecomposition(
+        omega=omega, omega_zeta=space.y @ omega,
+        omega_d=space.d_basis.T @ (space.d_basis @ omega), residual=worst)
 
 
 def quaternion_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -257,10 +251,9 @@ def rotate_spinor_datum(a: np.ndarray, nabla: NablaDatum,
     nx.require_unit(float(a @ a), eps, NonUnitQuaternion,
                     "squared norm of the quaternion")
     validate_nabla(nabla, eps)
-    triple = adapted_triple(space, eps)
-    psi = triple.apply_quaternion(a, nabla.phi)
-    derivs = np.array([triple.apply_quaternion(a, d) for d in nabla.derivatives])
-    return NablaDatum(phi=psi, derivatives=derivs)
+    rows = adapted_triple(space, eps).apply_quaternion(
+        a, np.vstack([nabla.phi, nabla.derivatives]))
+    return NablaDatum(phi=rows[0], derivatives=rows[1:])
 
 
 @dataclass(frozen=True)
@@ -276,12 +269,6 @@ class IntrinsicTorsion:
 def intrinsic_torsion(nabla: NablaDatum, space: AdmissibleSpace,
                       eps: float = nx.EPS_DEFAULT) -> IntrinsicTorsion:
     """Solve xi_i . phi = -nabla_i phi inside su(2)+ + D wedge y."""
-    validate_nabla(nabla, eps)
-    phi = _complement_spinor(nabla.phi, space, eps)
-    splitting = so5_splitting(space, eps)
-    basis = np.vstack([splitting.su2_plus, splitting.r4])
-    derivs = np.asarray(nabla.derivatives, dtype=complex)
-    c, worst = _solve_forms(basis, phi, -derivs, eps, "intrinsic torsion")
-    return IntrinsicTorsion(xi=c.T @ basis,
-                            su2_plus_part=c[:3].T @ splitting.su2_plus,
-                            r4_part=c[3:].T @ splitting.r4, residual=worst)
+    basis, c, worst = _form_split(nabla, space, eps, "intrinsic torsion")
+    return IntrinsicTorsion(xi=-c.T @ basis, su2_plus_part=-c[:3].T @ basis[:3],
+                            r4_part=-c[3:].T @ basis[3:], residual=worst)

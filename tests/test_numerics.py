@@ -85,7 +85,8 @@ def _clifford_frames(rng):
     return {
         "w_psi": fr.rep_matrix(cl.random_unit_spinor(rng)),
         "d_phi": cl.spinor_to_real(cl.vector_matrix(space.d_basis) @ phi).T,
-        "tangent": ts._tangent_basis(phi, space, qt.adapted_triple(space)),
+        "tangent": ts._tangent_basis(phi, space, qt.adapted_triple(space),
+                                     nx.EPS_DEFAULT),
         "su2_plus": cl.spinor_to_real(
             cl.two_form_matrix_rep(splitting.su2_plus) @ phi).T,
         "su2_plus_r4": cl.spinor_to_real(cl.two_form_matrix_rep(forms) @ phi).T,

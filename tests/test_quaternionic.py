@@ -69,6 +69,19 @@ def test_apply_quaternion_is_module_action(rng):
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
+def test_antilinear_ops_take_stacks(rng):
+    space = sp.random_admissible_space(rng)
+    stack = np.array([cl.random_unit_spinor(rng) for _ in range(6)])
+    for triple in (sp.global_triple(), sp.adapted_triple(space)):
+        for op in triple.ops():
+            rows = np.array([op(v) for v in stack])
+            assert np.array_equal(op(stack), rows)
+            assert np.array_equal(op(stack.reshape(2, 3, 4)), rows.reshape(2, 3, 4))
+        a = cl.random_unit_vector(rng, 4)
+        rows = np.array([triple.apply_quaternion(a, v) for v in stack])
+        assert np.array_equal(triple.apply_quaternion(a, stack), rows)
+
+
 def test_adapted_triple_restriction_signs(rng):
     space = sp.random_admissible_space(rng)
     triple = sp.adapted_triple(space)

@@ -110,6 +110,38 @@ def test_roundtrip(rng):
         assert np.abs(rec.derivatives - nabla.derivatives).max() <= 1e-9
 
 
+def test_torsion_budget(monkeypatch, rng):
+    """No SVD per datum, and the rotation forms skip the tangent frame."""
+    space = sp.random_admissible_space(rng)
+    nabla = sp.random_nabla(space, rng)
+    for solve in (sp.decompose, sp.omega_decompose, sp.intrinsic_torsion):
+        solve(nabla, space)   # the per-space constants are built once, here
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    monkeypatch.setattr(ts, "_tangent_basis", counting(ts._tangent_basis))
+    for solve, tangent in ((sp.decompose, 1), (sp.omega_decompose, 0),
+                           (sp.intrinsic_torsion, 0)):
+        calls.clear()
+        solve(nabla, space)
+        assert calls.count("svd") == 0
+        assert calls.count("_tangent_basis") == tangent
+
+
+@pytest.mark.parametrize("scale", [2.0, np.nan])
+def test_tangent_basis_rejects_non_orthonormal_frame(rng, scale):
+    space = sp.random_admissible_space(rng)
+    phi = scale * sp.random_nabla(space, rng).phi
+    with pytest.raises(sp.BasisDegeneracy):
+        ts._tangent_basis(phi, space, sp.adapted_triple(space), nx.EPS_DEFAULT)
+
+
 def test_split_endomorphism_rejects_nan_triple():
     with pytest.raises(sp.InputError):
         ts.split_endomorphism(np.eye(4), np.full((3, 4, 4), np.nan))
